@@ -37,13 +37,7 @@ class SmoothTermEstimator:
         seed = config.seed
         init_rng = _rng_for(seed, INIT_STREAM, index)
         self.name = name
-        self.net = nn_core.build_network(
-            config.num_units,
-            config.activation,
-            init_rng,
-            kernel_initializer=config.kernel_initializer,
-            bias_initializer=config.bias_initializer,
-        )
+        self.net = nn_core.build_network(config.num_units, config.activation, init_rng)
         self.adam = nn_core.AdamState(
             learning_rate=config.learning_rate,
             beta1=config.beta1,

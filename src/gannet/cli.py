@@ -1,10 +1,10 @@
 """Command-line front end: train, predict, summary, partial-effects, simulate.
 
-Fit-related flags mirror FitConfig field names (dashes for underscores)
-and take their defaults straight from the dataclass, so the two surfaces
-cannot disagree. Every error path prints one `gannet: error: ...` line to
-stderr and exits 2 for configuration/input problems or 1 for runtime
-failures.
+The `train` fit flags are generated from FitConfig's fields (dashes for
+underscores), taking type, default and help from the dataclass, so the
+two surfaces cannot disagree. Every error path prints one
+`gannet: error: ...` line to stderr and exits 2 for configuration/input
+problems or 1 for runtime failures.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import argparse
 import logging
 import os
 import sys
+import types
+import typing
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -31,19 +33,12 @@ from .model import fit, load_model, save_model, summarize
 from .simulation import ScenarioSpec, generate_scenario
 from .svg import line_chart
 
-_CONFIG_DEFAULTS = {
-    f.name: (None if f.default is MISSING else f.default) for f in fields(FitConfig)
-}
-
 
 def _parse_num_units(text: str) -> tuple[int, ...]:
     try:
-        units = tuple(int(tok) for tok in text.split(",") if tok.strip())
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise ConfigError(f"--num-units expects integers like '1024' or '256,128', got {text!r}")
-    if not units:
-        raise ConfigError("--num-units must name at least one hidden width")
-    return units
 
 
 def _parse_name_list(text: str) -> list[str]:
@@ -53,61 +48,31 @@ def _parse_name_list(text: str) -> list[str]:
     return names
 
 
+def _flag_type(hint) -> type:
+    # `X | None` parses as X; num_units arrives as text and is parsed after
+    # parse_args, because a ConfigError raised inside argparse escapes main
+    if isinstance(hint, types.UnionType):
+        hint = next(a for a in typing.get_args(hint) if a is not type(None))
+    return hint if hint in (int, float) else str
+
+
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
-    d = _CONFIG_DEFAULTS
-    p.add_argument("--num-units", required=True,
-                   help="hidden widths per subnetwork, e.g. 1024 or 256,128")
-    p.add_argument("--family", default=d["family"], choices=("gaussian", "binomial"))
-    p.add_argument("--learning-rate", type=float, default=d["learning_rate"])
-    p.add_argument("--activation", default=d["activation"])
-    p.add_argument("--loss", default=d["loss"])
-    p.add_argument("--kernel-initializer", default=d["kernel_initializer"])
-    p.add_argument("--bias-initializer", default=d["bias_initializer"])
-    p.add_argument("--l2-penalty", type=float, default=d["l2_penalty"])
-    p.add_argument("--bias-regularizer", default=None)
-    p.add_argument("--activity-regularizer", default=None)
-    p.add_argument("--w-train", default=d["w_train"],
-                   help="name of an optional sample-weight column")
-    p.add_argument("--bf-threshold", type=float, default=d["bf_threshold"])
-    p.add_argument("--ls-threshold", type=float, default=d["ls_threshold"])
-    p.add_argument("--max-iter-backfitting", type=int, default=d["max_iter_backfitting"])
-    p.add_argument("--max-iter-ls", type=int, default=d["max_iter_ls"])
-    p.add_argument("--batch-size", type=int, default=d["batch_size"])
-    p.add_argument("--epochs-per-sweep", type=int, default=d["epochs_per_sweep"])
-    p.add_argument("--seed", type=int, default=d["seed"])
-    p.add_argument("--verbose", type=int, default=d["verbose"], choices=(0, 1))
-    p.add_argument("--mu-clamp", type=float, default=d["mu_clamp"])
-    p.add_argument("--beta1", type=float, default=d["beta1"])
-    p.add_argument("--beta2", type=float, default=d["beta2"])
-    p.add_argument("--epsilon", type=float, default=d["epsilon"])
+    """One flag per FitConfig field, with its type, default and help."""
+    hints = typing.get_type_hints(FitConfig)
+    for f in fields(FitConfig):
+        flag = "--" + f.name.replace("_", "-")
+        help_text = f.metadata.get("help")
+        if f.default is MISSING:
+            p.add_argument(flag, required=True, help=help_text)
+        else:
+            p.add_argument(flag, type=_flag_type(hints[f.name]), default=f.default,
+                           help=help_text)
 
 
 def _config_from_args(args) -> FitConfig:
-    return FitConfig(
-        num_units=_parse_num_units(args.num_units),
-        family=args.family,
-        learning_rate=args.learning_rate,
-        activation=args.activation,
-        loss=args.loss,
-        kernel_initializer=args.kernel_initializer,
-        bias_initializer=args.bias_initializer,
-        l2_penalty=args.l2_penalty,
-        bias_regularizer=args.bias_regularizer,
-        activity_regularizer=args.activity_regularizer,
-        w_train=args.w_train,
-        bf_threshold=args.bf_threshold,
-        ls_threshold=args.ls_threshold,
-        max_iter_backfitting=args.max_iter_backfitting,
-        max_iter_ls=args.max_iter_ls,
-        batch_size=args.batch_size,
-        epochs_per_sweep=args.epochs_per_sweep,
-        seed=args.seed,
-        verbose=args.verbose,
-        mu_clamp=args.mu_clamp,
-        beta1=args.beta1,
-        beta2=args.beta2,
-        epsilon=args.epsilon,
-    )
+    values = {f.name: getattr(args, f.name) for f in fields(FitConfig)}
+    values["num_units"] = _parse_num_units(values["num_units"])
+    return FitConfig(**values)
 
 
 def cmd_train(args) -> int:
@@ -139,24 +104,18 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     terms = _parse_name_list(args.terms) if args.terms else None
     if args.type == "terms":
-        names = terms if terms is not None else list(model.terms)
-        unknown = [t for t in names if t not in model.terms]
+        needed = terms if terms is not None else list(model.terms)
+        unknown = [t for t in needed if t not in model.terms]
         if unknown:
             raise DataValidationError(f"unknown term(s) in subset: {', '.join(unknown)}")
-        needed = names
     else:
         needed = list(model.formula.term_names)
     newdata = Dataset.from_csv(args.data, columns=needed)
     result = model.predict(newdata, type=args.type, terms=terms)
     if args.type == "terms":
-        header = list(terms) if terms is not None else list(model.terms)
-        cols = [result[:, j] for j in range(result.shape[1])] if result.size else [
-            np.empty(0) for _ in header
-        ]
+        write_csv(args.out, needed, list(result.T))
     else:
-        header = ["prediction"]
-        cols = [result]
-    write_csv(args.out, header, cols)
+        write_csv(args.out, ["prediction"], [result])
     return 0
 
 

@@ -1,16 +1,20 @@
 """Fit configuration: every user-facing hyperparameter in one place.
 
-CLI flag defaults are generated from this dataclass so the two surfaces
-cannot drift apart.
+The `train` CLI flags are generated from this dataclass (name, type,
+default and help), so the two surfaces cannot drift apart.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field
 
 from .exceptions import ConfigError
 from .families import FAMILY_NAMES
 from .nn_core import ACTIVATIONS
+
+
+def _knob(default, help: str):
+    return field(default=default, metadata={"help": help})
 
 
 @dataclass
@@ -19,32 +23,28 @@ class FitConfig:
 
     num_units defines each subnetwork's hidden widths: a scalar gives one
     hidden layer, a sequence one layer per entry. Everything else has the
-    documented default.
+    documented default. Model files store the config as
+    dataclasses.asdict(config) and rebuild it as FitConfig(**stored).
     """
 
-    num_units: tuple[int, ...]
-    family: str = "gaussian"
-    learning_rate: float = 0.001
-    activation: str = "relu"
-    loss: str = "mse"
-    kernel_initializer: str = "glorot_normal"
-    bias_initializer: str = "zeros"
-    l2_penalty: float = 0.0
-    bias_regularizer: str | None = None
-    activity_regularizer: str | None = None
-    w_train: str | None = None
-    bf_threshold: float = 0.001
-    ls_threshold: float = 0.1
-    max_iter_backfitting: int = 10
-    max_iter_ls: int = 10
-    batch_size: int = 128
-    epochs_per_sweep: int = 1
-    seed: int | None = None
-    verbose: int = 1
-    mu_clamp: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-7
+    num_units: tuple[int, ...] = _knob(MISSING, "hidden widths per subnetwork: 1024 or 256,128")
+    family: str = _knob("gaussian", f"response family: {', '.join(FAMILY_NAMES)}")
+    learning_rate: float = _knob(0.001, "Adam step size")
+    activation: str = _knob("relu", f"hidden-layer activation: {', '.join(ACTIVATIONS)}")
+    l2_penalty: float = _knob(0.0, "L2 penalty on every weight matrix")
+    w_train: str | None = _knob(None, "name of an optional sample-weight column")
+    bf_threshold: float = _knob(0.001, "backfitting convergence threshold")
+    ls_threshold: float = _knob(0.1, "local-scoring convergence threshold")
+    max_iter_backfitting: int = _knob(10, "backfitting sweeps per local-scoring iteration")
+    max_iter_ls: int = _knob(10, "local-scoring iterations")
+    batch_size: int = _knob(128, "rows per Adam step")
+    epochs_per_sweep: int = _knob(1, "training epochs per term per sweep")
+    seed: int | None = _knob(None, "seed for initialization and shuffling")
+    verbose: int = _knob(1, "1 prints one line per local-scoring iteration, 0 nothing")
+    mu_clamp: float = _knob(1e-5, "binomial mean clamp to [mu_clamp, 1 - mu_clamp]")
+    beta1: float = _knob(0.9, "Adam first-moment decay")
+    beta2: float = _knob(0.999, "Adam second-moment decay")
+    epsilon: float = _knob(1e-7, "Adam denominator offset")
 
     def __post_init__(self):
         if isinstance(self.num_units, (int, float)):
@@ -59,16 +59,8 @@ class FitConfig:
             raise ConfigError("learning_rate must be positive")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
-        if self.loss != "mse":
-            raise ConfigError(f"only loss='mse' is supported, got {self.loss!r}")
         if self.l2_penalty < 0:
             raise ConfigError("l2_penalty must be nonnegative")
-        if self.bias_regularizer is not None:
-            raise ConfigError("bias_regularizer is not implemented; only the L2 "
-                              "kernel penalty (l2_penalty) is supported")
-        if self.activity_regularizer is not None:
-            raise ConfigError("activity_regularizer is not implemented; only the L2 "
-                              "kernel penalty (l2_penalty) is supported")
         if self.bf_threshold <= 0 or self.ls_threshold <= 0:
             raise ConfigError("convergence thresholds must be positive")
         if self.max_iter_backfitting < 1 or self.max_iter_ls < 1:
@@ -77,22 +69,9 @@ class FitConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.epochs_per_sweep < 1:
             raise ConfigError("epochs_per_sweep must be >= 1")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError("seed must be a nonnegative integer")
         if self.verbose not in (0, 1):
             raise ConfigError("verbose must be 0 or 1")
         if not 0.0 < self.mu_clamp < 0.5:
             raise ConfigError("mu_clamp must lie in (0, 0.5)")
-
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FitConfig":
-        names = {f.name for f in fields(cls)}
-        unknown = set(d) - names
-        if unknown:
-            raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
-        return cls(**d)

@@ -41,10 +41,11 @@ class Formula:
         if not self.terms:
             raise FormulaError("formula has no terms")
         names = [t.name for t in self.terms]
-        if len(set(names)) != len(names):
-            raise FormulaError("duplicate term names in formula")
+        for k, name in enumerate(names):
+            if name in names[:k]:
+                raise FormulaError(f"duplicate term {name!r}")
         if self.response in names:
-            raise FormulaError("response also appears as a term")
+            raise FormulaError(f"response {self.response!r} also appears as a term")
 
     @property
     def term_names(self) -> tuple[str, ...]:
@@ -119,12 +120,6 @@ def parse_formula(src: str) -> Formula:
             raise FormulaError(f"expected '+' between terms, got {src[i]!r}", i)
         i += 1
 
-    names = [t.name for t in terms]
-    for k, name in enumerate(names):
-        if name in names[:k]:
-            raise FormulaError(f"duplicate term {name!r}")
-    if response in names:
-        raise FormulaError(f"response {response!r} also appears as a term")
     return Formula(response, tuple(terms))
 
 

@@ -5,7 +5,9 @@ A fitted model stores the intercept, one estimator per formula term
 training trace, and enough training metadata (per-term ranges, fitted
 values, final additive predictor) to reproduce predictions exactly.
 
-Model files are self-describing JSON with a content checksum. Floats are
+Model files are JSON with a content checksum. They store each quantity
+once: the subnetwork architecture and the family are rebuilt from the
+stored config, and each term's kind from the stored formula. Floats are
 written with full round-trip precision, so predictions from a loaded
 model are bit-identical to the original. Optimizer state is not saved; a
 loaded model predicts but does not resume training.
@@ -16,24 +18,21 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 
 from . import nn_core
-from .backfitting import (
-    BackfitState,
-    LinearTermEstimator,
-    SmoothTermEstimator,
-)
+from .backfitting import LinearTermEstimator, SmoothTermEstimator
 from .config import FitConfig
 from .data import Dataset
-from .exceptions import ConfigError, DataValidationError, ModelFileError
-from .families import GAUSSIAN, Binomial, Family, Gaussian, make_family
-from .formula import LINEAR, SMOOTH, Formula, format_formula, parse_formula
+from .exceptions import ConfigError, DataValidationError, GannetError, ModelFileError
+from .families import Family, make_family
+from .formula import SMOOTH, Formula, format_formula, parse_formula
 from .local_scoring import IterationRecord, LocalScoringTrace, local_scoring
 
 FILE_FORMAT = "gannet-model"
-FILE_VERSION = 1
+FILE_VERSION = 2
 
 PREDICT_TYPES = ("link", "response", "terms")
 
@@ -230,22 +229,14 @@ def _floats(arr) -> list:
 def _estimator_payload(est, lo: float, hi: float) -> dict:
     base = {
         "name": est.name,
-        "kind": est.kind,
         "offset": float(est.offset),
         "train_min": lo,
         "train_max": hi,
         "fitted_values": _floats(est.fitted_values),
     }
     if est.kind == SMOOTH:
-        base["num_units"] = list(est.net.num_units)
-        base["activation"] = est.net.activation
         base["layers"] = [
-            {
-                "activation": layer.activation,
-                "shape": [layer.fan_out, layer.fan_in],
-                "weights": _floats(layer.weights),
-                "biases": _floats(layer.biases),
-            }
+            {"weights": _floats(layer.weights), "biases": _floats(layer.biases)}
             for layer in est.net.layers
         ]
     else:
@@ -271,15 +262,11 @@ def _trace_payload(trace: LocalScoringTrace) -> list:
 def _model_payload(model: FittedModel) -> dict:
     return {
         "formula": format_formula(model.formula),
-        "family": {
-            "kind": model.family.kind,
-            "mu_clamp": getattr(model.family, "mu_clamp", None),
-        },
         "alpha": float(model.alpha),
         "n": model.n,
         "training_mse": float(model.training_mse),
         "training_eta": _floats(model.training_eta),
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "terms": [
             _estimator_payload(est, *model.term_ranges[est.name])
             for est in model.estimators
@@ -308,7 +295,11 @@ def save_model(model: FittedModel, path) -> None:
 
 
 def load_model(path) -> FittedModel:
-    """Read a model file, verifying version and content checksum."""
+    """Read a model file, verifying version, content checksum and payload.
+
+    Any payload that does not describe a model of its stored config and
+    formula raises ModelFileError.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -325,49 +316,77 @@ def load_model(path) -> FittedModel:
     digest = hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
     if digest != doc.get("sha256"):
         raise ModelFileError(f"{path}: checksum mismatch; file is corrupt")
+    try:
+        return _model_from_payload(payload)
+    # what a malformed payload makes decoding raise: missing keys, wrong
+    # types (AttributeError for a non-string formula), int(inf) overflow
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
+            GannetError) as exc:
+        raise ModelFileError(
+            f"{path}: malformed model file ({type(exc).__name__}: {exc})"
+        ) from exc
 
-    config = FitConfig.from_dict(payload["config"])
-    formula = parse_formula(payload["formula"])
-    fam = payload["family"]
-    if fam["kind"] == GAUSSIAN:
-        family: Family = Gaussian()
+
+def _decode(values, shape: tuple, what: str) -> np.ndarray:
+    """Stored numbers as a float64 array of exactly `shape`, all finite."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.shape != shape:
+        raise ModelFileError(f"{what} has shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ModelFileError(f"{what} contains non-finite values")
+    return arr
+
+
+def _decode_estimator(term, tp: dict, config: FitConfig, n: int):
+    name = term.name
+    if term.kind == SMOOTH:
+        plan = nn_core.layer_plan(config.num_units, config.activation)
+        if len(tp["layers"]) != len(plan):
+            raise ModelFileError(f"term {name!r} has {len(tp['layers'])} layers, not {len(plan)}")
+        layers = []
+        for k, ((fan_in, fan_out, act), lp) in enumerate(zip(plan, tp["layers"])):
+            what = f"term {name!r} layer {k}"
+            weights = _decode(lp["weights"], (fan_out, fan_in), f"{what} weights")
+            biases = _decode(lp["biases"], (fan_out,), f"{what} biases")
+            layers.append(nn_core.DenseLayer(weights, biases, act))
+        net = nn_core.SubNetwork(layers, config.num_units, config.activation)
+        est = SmoothTermEstimator.from_parts(name, net)
     else:
-        family = Binomial(mu_clamp=fam["mu_clamp"])
+        est = LinearTermEstimator.from_parts(
+            name,
+            float(_decode(tp["slope"], (), f"term {name!r} slope")),
+            float(_decode(tp["x_center"], (), f"term {name!r} x_center")),
+        )
+    est.offset = float(_decode(tp["offset"], (), f"term {name!r} offset"))
+    est.fitted_values = _decode(tp["fitted_values"], (n,), f"term {name!r} fitted_values")
+    return est
 
-    estimators = []
-    term_ranges = {}
-    for tp in payload["terms"]:
-        term_ranges[tp["name"]] = (tp["train_min"], tp["train_max"])
-        if tp["kind"] == SMOOTH:
-            layers = [
-                nn_core.DenseLayer(
-                    weights=np.asarray(lp["weights"], dtype=np.float64).reshape(lp["shape"]),
-                    biases=np.asarray(lp["biases"], dtype=np.float64),
-                    activation=lp["activation"],
-                )
-                for lp in tp["layers"]
-            ]
-            net = nn_core.SubNetwork(
-                layers=layers,
-                num_units=tuple(tp["num_units"]),
-                activation=tp["activation"],
-            )
-            est = SmoothTermEstimator.from_parts(tp["name"], net)
-        elif tp["kind"] == LINEAR:
-            est = LinearTermEstimator.from_parts(tp["name"], tp["slope"], tp["x_center"])
-        else:
-            raise ModelFileError(f"{path}: unknown term kind {tp['kind']!r}")
-        est.offset = float(tp["offset"])
-        est.fitted_values = np.asarray(tp["fitted_values"], dtype=np.float64)
-        estimators.append(est)
 
+def _model_from_payload(payload: dict) -> FittedModel:
+    config = FitConfig(**payload["config"])
+    formula = parse_formula(payload["formula"])
+    n = int(payload["n"])
+    terms = payload["terms"]
+    names = [tp["name"] for tp in terms]
+    if names != list(formula.term_names):
+        raise ModelFileError(f"stored terms {names} do not match the formula's terms")
+    estimators = [
+        _decode_estimator(term, tp, config, n) for term, tp in zip(formula.terms, terms)
+    ]
+    term_ranges = {
+        tp["name"]: tuple(_decode([tp["train_min"], tp["train_max"]], (2,), "range").tolist())
+        for tp in terms
+    }
     trace = LocalScoringTrace(
         iterations=[
             IterationRecord(
-                iteration=rp["iteration"],
-                deviance=rp["deviance"],
-                deviance_ratio=rp["deviance_ratio"],
-                per_term_epoch_losses=rp["per_term_epoch_losses"],
+                iteration=int(rp["iteration"]),
+                deviance=float(rp["deviance"]),
+                deviance_ratio=float(rp["deviance_ratio"]),
+                per_term_epoch_losses={
+                    term: [float(loss) for loss in losses]
+                    for term, losses in dict(rp["per_term_epoch_losses"]).items()
+                },
                 timestamps=[],
             )
             for rp in payload["trace"]
@@ -375,13 +394,13 @@ def load_model(path) -> FittedModel:
     )
     return FittedModel(
         formula=formula,
-        family=family,
-        alpha=float(payload["alpha"]),
+        family=make_family(config.family, config.mu_clamp),
+        alpha=float(_decode(payload["alpha"], (), "alpha")),
         estimators=estimators,
         trace=trace,
         config=config,
-        n=int(payload["n"]),
-        training_mse=float(payload["training_mse"]),
-        training_eta=np.asarray(payload["training_eta"], dtype=np.float64),
+        n=n,
+        training_mse=float(_decode(payload["training_mse"], (), "training_mse")),
+        training_eta=_decode(payload["training_eta"], (n,), "training_eta"),
         term_ranges=term_ranges,
     )

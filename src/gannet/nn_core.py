@@ -75,51 +75,41 @@ def glorot_normal_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> n
     return rng.normal(0.0, std, size=(fan_out, fan_in))
 
 
-_KERNEL_INITIALIZERS = ("glorot_normal",)
-_BIAS_INITIALIZERS = ("zeros",)
+def layer_plan(num_units: tuple[int, ...], activation: str) -> list[tuple[int, int, str]]:
+    """(fan_in, fan_out, activation) of each layer: 1 -> 1 -> num_units... -> 1.
+
+    The input projection and the output unit stay linear; every hidden
+    layer uses `activation`.
+    """
+    dims = [1, 1, *num_units, 1]
+    last = len(dims) - 2
+    return [
+        (dims[k], dims[k + 1], activation if 0 < k < last else IDENTITY)
+        for k in range(len(dims) - 1)
+    ]
 
 
 def build_network(
-    num_units: tuple[int, ...],
-    activation: str,
-    rng: np.random.Generator,
-    kernel_initializer: str = "glorot_normal",
-    bias_initializer: str = "zeros",
+    num_units: tuple[int, ...], activation: str, rng: np.random.Generator
 ) -> SubNetwork:
-    """Construct a subnetwork: 1 -> 1 -> num_units... -> 1.
+    """Construct a subnetwork with glorot-normal weights and zero biases.
 
     With num_units=(1024,) the layer fans are (1,1), (1,1024), (1024,1),
     giving parameter counts 2, 2048 and 1025.
     """
-    if kernel_initializer not in _KERNEL_INITIALIZERS:
-        raise ConfigError(
-            f"unsupported kernel_initializer {kernel_initializer!r}; "
-            f"supported: {_KERNEL_INITIALIZERS}"
-        )
-    if bias_initializer not in _BIAS_INITIALIZERS:
-        raise ConfigError(
-            f"unsupported bias_initializer {bias_initializer!r}; "
-            f"supported: {_BIAS_INITIALIZERS}"
-        )
     if activation not in ACTIVATIONS:
         raise ConfigError(f"unsupported activation {activation!r}; supported: {ACTIVATIONS}")
     num_units = tuple(int(u) for u in num_units)
     if not num_units or any(u < 1 for u in num_units):
         raise ConfigError("num_units must be a non-empty list of positive integers")
-
-    dims = [1, 1, *num_units, 1]
-    layers = []
-    for k in range(len(dims) - 1):
-        fan_in, fan_out = dims[k], dims[k + 1]
-        # input projection and output unit stay linear
-        act = activation if 0 < k < len(dims) - 2 else IDENTITY
-        layers.append(
-            DenseLayer(
-                weights=glorot_normal_init(fan_in, fan_out, rng),
-                biases=np.zeros(fan_out),
-                activation=act,
-            )
+    layers = [
+        DenseLayer(
+            weights=glorot_normal_init(fan_in, fan_out, rng),
+            biases=np.zeros(fan_out),
+            activation=act,
         )
+        for fan_in, fan_out, act in layer_plan(num_units, activation)
+    ]
     return SubNetwork(layers=layers, num_units=num_units, activation=activation)
 
 

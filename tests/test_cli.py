@@ -39,24 +39,31 @@ def trained(tmp_path_factory, sim_dir):
 
 
 class TestFlagDefaults:
+    ARGV = ["train", "--data", "d.csv", "--formula", "y ~ x",
+            "--num-units", "8", "--model-out", "m.json"]
+
     def test_train_flags_match_config_defaults(self):
-        from dataclasses import fields
+        from dataclasses import MISSING, fields
 
         from gannet.cli import build_parser
         from gannet.config import FitConfig
 
-        args = build_parser().parse_args(
-            ["train", "--data", "d.csv", "--formula", "y ~ x",
-             "--num-units", "8", "--model-out", "m.json"]
-        )
-        defaults = {f.name: f.default for f in fields(FitConfig)}
-        for name in ("family", "learning_rate", "activation", "loss",
-                     "kernel_initializer", "bias_initializer", "l2_penalty",
-                     "w_train", "bf_threshold", "ls_threshold",
-                     "max_iter_backfitting", "max_iter_ls", "batch_size",
-                     "epochs_per_sweep", "seed", "verbose", "mu_clamp",
-                     "beta1", "beta2", "epsilon"):
-            assert getattr(args, name) == defaults[name], name
+        args = build_parser().parse_args(self.ARGV)
+        for f in fields(FitConfig):
+            if f.default is not MISSING:
+                assert getattr(args, f.name) == f.default, f.name
+
+    def test_default_flags_build_the_default_config(self):
+        from gannet.cli import _config_from_args, build_parser
+        from gannet.config import FitConfig
+
+        args = build_parser().parse_args(self.ARGV)
+        assert _config_from_args(args) == FitConfig(num_units=(8,))
+
+    def test_negative_seed_exit_2(self, capsys):
+        # rejected by the config, before the (absent) data file is read
+        assert main([*self.ARGV, "--seed", "-1"]) == 2
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
 
 
 class TestSimulate:

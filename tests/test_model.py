@@ -246,9 +246,6 @@ class TestConfig:
         assert c.family == "gaussian"
         assert c.learning_rate == 0.001
         assert c.activation == "relu"
-        assert c.loss == "mse"
-        assert c.kernel_initializer == "glorot_normal"
-        assert c.bias_initializer == "zeros"
         assert c.l2_penalty == 0.0
         assert c.bf_threshold == 0.001
         assert c.ls_threshold == 0.1
@@ -261,19 +258,11 @@ class TestConfig:
         assert c.mu_clamp == 1e-5
         assert (c.beta1, c.beta2, c.epsilon) == (0.9, 0.999, 1e-7)
 
-    def test_unsupported_regularizers_rejected(self):
-        with pytest.raises(ConfigError, match="bias_regularizer"):
-            FitConfig(num_units=8, bias_regularizer="l2")
-        with pytest.raises(ConfigError, match="activity_regularizer"):
-            FitConfig(num_units=8, activity_regularizer="l1")
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             FitConfig(num_units=0)
         with pytest.raises(ConfigError):
             FitConfig(num_units=8, family="poisson")
-        with pytest.raises(ConfigError):
-            FitConfig(num_units=8, loss="mae")
         with pytest.raises(ConfigError):
             FitConfig(num_units=8, bf_threshold=0.0)
 

@@ -106,10 +106,6 @@ class TestBuildNetwork:
         with pytest.raises(ConfigError):
             build_network((4,), "tanh", rng)
         with pytest.raises(ConfigError):
-            build_network((4,), "relu", rng, kernel_initializer="he_normal")
-        with pytest.raises(ConfigError):
-            build_network((4,), "relu", rng, bias_initializer="ones")
-        with pytest.raises(ConfigError):
             build_network((), "relu", rng)
 
 
