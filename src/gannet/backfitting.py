@@ -38,12 +38,7 @@ class SmoothTermEstimator:
         init_rng = _rng_for(seed, INIT_STREAM, index)
         self.name = name
         self.net = nn_core.build_network(config.num_units, config.activation, init_rng)
-        self.adam = nn_core.AdamState(
-            learning_rate=config.learning_rate,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            epsilon=config.epsilon,
-        )
+        self.adam = nn_core.AdamState(learning_rate=config.learning_rate)
         self.shuffle_rng = _rng_for(seed, SHUFFLE_STREAM, index)
         self.fitted_values = np.zeros(n_rows)
         self.offset = 0.0

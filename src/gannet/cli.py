@@ -13,13 +13,11 @@ import argparse
 import logging
 import os
 import sys
-import types
-import typing
 from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .config import FitConfig
+from .config import FIELD_TYPES, FitConfig, unwrap_optional
 from .data import Dataset, write_csv
 from .exceptions import (
     ConfigError,
@@ -51,21 +49,19 @@ def _parse_name_list(text: str) -> list[str]:
 def _flag_type(hint) -> type:
     # `X | None` parses as X; num_units arrives as text and is parsed after
     # parse_args, because a ConfigError raised inside argparse escapes main
-    if isinstance(hint, types.UnionType):
-        hint = next(a for a in typing.get_args(hint) if a is not type(None))
+    hint = unwrap_optional(hint)
     return hint if hint in (int, float) else str
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     """One flag per FitConfig field, with its type, default and help."""
-    hints = typing.get_type_hints(FitConfig)
     for f in fields(FitConfig):
         flag = "--" + f.name.replace("_", "-")
         help_text = f.metadata.get("help")
         if f.default is MISSING:
             p.add_argument(flag, required=True, help=help_text)
         else:
-            p.add_argument(flag, type=_flag_type(hints[f.name]), default=f.default,
+            p.add_argument(flag, type=_flag_type(FIELD_TYPES[f.name]), default=f.default,
                            help=help_text)
 
 
@@ -103,13 +99,8 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     terms = _parse_name_list(args.terms) if args.terms else None
-    if args.type == "terms":
-        needed = terms if terms is not None else list(model.terms)
-        unknown = [t for t in needed if t not in model.terms]
-        if unknown:
-            raise DataValidationError(f"unknown term(s) in subset: {', '.join(unknown)}")
-    else:
-        needed = list(model.formula.term_names)
+    # an unknown term is named before the CSV is read, not reported as a missing column
+    needed = model.term_subset(terms if args.type == "terms" else None)
     newdata = Dataset.from_csv(args.data, columns=needed)
     result = model.predict(newdata, type=args.type, terms=terms)
     if args.type == "terms":
@@ -127,10 +118,7 @@ def cmd_summary(args) -> int:
 
 def cmd_partial_effects(args) -> int:
     model = load_model(args.model)
-    names = _parse_name_list(args.terms) if args.terms else list(model.terms)
-    unknown = [t for t in names if t not in model.terms]
-    if unknown:
-        raise DataValidationError(f"unknown term(s): {', '.join(unknown)}")
+    names = model.term_subset(_parse_name_list(args.terms) if args.terms else None)
     if args.grid_size < 2:
         raise ConfigError("--grid-size must be >= 2")
     ranges = {}

@@ -1,12 +1,17 @@
-"""Fit configuration: every user-facing hyperparameter in one place.
+"""Fit configuration: every user-facing setting, defined and checked in one place.
 
-The `train` CLI flags are generated from this dataclass (name, type,
-default and help), so the two surfaces cannot drift apart.
+The `train` CLI flags (name, type, default and help) and the type checks
+are both read from this dataclass, so no code elsewhere restates or
+re-checks a setting.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field
+import math
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields
+from numbers import Integral, Real
 
 from .exceptions import ConfigError
 from .families import FAMILY_NAMES
@@ -17,13 +22,46 @@ def _knob(default, help: str):
     return field(default=default, metadata={"help": help})
 
 
+def unwrap_optional(hint):
+    """The X of a field typed `X | None`; any other type hint unchanged."""
+    if isinstance(hint, types.UnionType):
+        return next(a for a in typing.get_args(hint) if a is not type(None))
+    return hint
+
+
+def _is(value, kind) -> bool:
+    # bool is an Integral too, but never a meaningful count, width or rate
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+# what each field type accepts, numpy numbers included, and its name in errors
+_ACCEPTS = {int: (Integral, "an integer"), float: (Real, "a finite real number"),
+            str: (str, "a string")}
+
+
+def _typed(name: str, value, hint):
+    """`value` as the plain Python type its field's `hint` names, or ConfigError."""
+    base = unwrap_optional(hint)
+    if value is None and base is not hint:
+        return None
+    if typing.get_origin(base) is tuple:  # num_units: an integer, or a list or tuple of them
+        items = (value,) if _is(value, Integral) else value
+        if isinstance(items, (list, tuple)) and all(_is(u, Integral) for u in items):
+            return tuple(int(u) for u in items)
+        raise ConfigError(f"{name} must be an integer or a sequence of integers, got {value!r}")
+    kind, expected = _ACCEPTS[base]
+    if _is(value, kind) and (base is not float or math.isfinite(value)):
+        return base(value)
+    raise ConfigError(f"{name} must be {expected}, got {value!r}")
+
+
 @dataclass
 class FitConfig:
-    """Hyperparameters for fitting an additive neural model.
+    """Settings for fitting an additive neural model.
 
-    num_units defines each subnetwork's hidden widths: a scalar gives one
-    hidden layer, a sequence one layer per entry. Everything else has the
-    documented default. Model files store the config as
+    num_units defines each subnetwork's hidden widths: an integer gives
+    one hidden layer, a sequence one layer per entry. Everything else has
+    the documented default. Model files store the config as
     dataclasses.asdict(config) and rebuild it as FitConfig(**stored).
     """
 
@@ -41,37 +79,29 @@ class FitConfig:
     epochs_per_sweep: int = _knob(1, "training epochs per term per sweep")
     seed: int | None = _knob(None, "seed for initialization and shuffling")
     verbose: int = _knob(1, "1 prints one line per local-scoring iteration, 0 nothing")
-    mu_clamp: float = _knob(1e-5, "binomial mean clamp to [mu_clamp, 1 - mu_clamp]")
-    beta1: float = _knob(0.9, "Adam first-moment decay")
-    beta2: float = _knob(0.999, "Adam second-moment decay")
-    epsilon: float = _knob(1e-7, "Adam denominator offset")
 
     def __post_init__(self):
-        if isinstance(self.num_units, (int, float)):
-            self.num_units = (int(self.num_units),)
-        else:
-            self.num_units = tuple(int(u) for u in self.num_units)
-        if not self.num_units or any(u < 1 for u in self.num_units):
+        for f in fields(self):
+            setattr(self, f.name, _typed(f.name, getattr(self, f.name), FIELD_TYPES[f.name]))
+        if not self.num_units or min(self.num_units) < 1:
             raise ConfigError("num_units must be positive integer(s)")
         if self.family not in FAMILY_NAMES:
             raise ConfigError(f"family must be one of {FAMILY_NAMES}, got {self.family!r}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
+        for name in ("learning_rate", "bf_threshold", "ls_threshold"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
+        for name in ("max_iter_backfitting", "max_iter_ls", "batch_size", "epochs_per_sweep"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.l2_penalty < 0:
             raise ConfigError("l2_penalty must be nonnegative")
-        if self.bf_threshold <= 0 or self.ls_threshold <= 0:
-            raise ConfigError("convergence thresholds must be positive")
-        if self.max_iter_backfitting < 1 or self.max_iter_ls < 1:
-            raise ConfigError("iteration limits must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.epochs_per_sweep < 1:
-            raise ConfigError("epochs_per_sweep must be >= 1")
         if self.seed is not None and self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         if self.verbose not in (0, 1):
             raise ConfigError("verbose must be 0 or 1")
-        if not 0.0 < self.mu_clamp < 0.5:
-            raise ConfigError("mu_clamp must lie in (0, 0.5)")
+
+
+# each field's resolved type hint; the type checks and the CLI flags read it
+FIELD_TYPES = typing.get_type_hints(FitConfig)

@@ -3,7 +3,8 @@
 A Dataset is a mapping of column names to equal-length float64 vectors.
 CSV loading drops any row with a missing value in the requested columns
 and reports the count; a non-numeric token that is not a missing-value
-marker is an error naming the column and line.
+marker is an error naming the column and line, and so is a header that
+names a requested column twice.
 """
 
 from __future__ import annotations
@@ -88,6 +89,9 @@ class Dataset:
                     raise DataValidationError(
                         f"{path}: missing required column(s): {', '.join(missing)}"
                     )
+            repeated = [c for c in dict.fromkeys(keep) if header.count(c) > 1]
+            if repeated:
+                raise DataValidationError(f"{path}: repeated column(s): {', '.join(repeated)}")
             positions = [header.index(c) for c in keep]
 
             rows: list[list[float]] = []

@@ -4,8 +4,9 @@ Each family bundles the link function, its inverse, the working response
 (adjusted dependent variable), the per-observation IRLS weights, and the
 total deviance. Gaussian uses the identity link, so its working response
 and weights never change and the whole fit collapses to a single additive
-pass; Binomial uses the logit link with the mean clamped away from {0, 1}
-to keep weights and deviance finite.
+pass; Binomial uses the logit link with the mean clamped to the fixed
+range [1e-5, 1 - 1e-5] to keep weights and deviance finite. Neither
+family takes a setting, so make_family builds one from its name alone.
 """
 
 from __future__ import annotations
@@ -50,13 +51,8 @@ class Gaussian:
 class Binomial:
     """Bernoulli response with logit link (single trial per observation)."""
 
-    mu_clamp: float = 1e-5
-
     kind = BINOMIAL
-
-    def __post_init__(self):
-        if not 0.0 < self.mu_clamp < 0.5:
-            raise ConfigError("mu_clamp must lie in (0, 0.5)")
+    mu_clamp = 1e-5
 
     def clamp(self, mu: np.ndarray) -> np.ndarray:
         return np.clip(mu, self.mu_clamp, 1.0 - self.mu_clamp)
@@ -105,10 +101,10 @@ Family = Gaussian | Binomial
 FAMILY_NAMES = (GAUSSIAN, BINOMIAL)
 
 
-def make_family(name: str, mu_clamp: float = 1e-5) -> Family:
+def make_family(name: str) -> Family:
     """Build a family from its config/CLI name ('gaussian' or 'binomial')."""
     if name == GAUSSIAN:
         return Gaussian()
     if name == BINOMIAL:
-        return Binomial(mu_clamp=mu_clamp)
+        return Binomial()
     raise ConfigError(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")

@@ -6,11 +6,12 @@ training trace, and enough training metadata (per-term ranges, fitted
 values, final additive predictor) to reproduce predictions exactly.
 
 Model files are JSON with a content checksum. They store each quantity
-once: the subnetwork architecture and the family are rebuilt from the
-stored config, and each term's kind from the stored formula. Floats are
-written with full round-trip precision, so predictions from a loaded
-model are bit-identical to the original. Optimizer state is not saved; a
-loaded model predicts but does not resume training.
+once: the subnetwork architecture is rebuilt from the stored config, the
+family from the config's `family` name alone, and each term's kind from
+the stored formula. Floats are written with full round-trip precision,
+so predictions from a loaded model are bit-identical to the original.
+Optimizer state is not saved; a loaded model predicts but does not
+resume training.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .formula import SMOOTH, Formula, format_formula, parse_formula
 from .local_scoring import IterationRecord, LocalScoringTrace, local_scoring
 
 FILE_FORMAT = "gannet-model"
-FILE_VERSION = 2
+FILE_VERSION = 3
 
 PREDICT_TYPES = ("link", "response", "terms")
 
@@ -85,13 +86,7 @@ class FittedModel:
             raise ConfigError("a terms subset is only valid with type='terms'")
 
         if type == "terms":
-            names = list(terms) if terms is not None else list(self.terms)
-            unknown = [t for t in names if t not in self.terms]
-            if unknown:
-                raise DataValidationError(
-                    f"unknown term(s) in subset: {', '.join(unknown)}"
-                )
-            cols = [self._term_column(name, newdata) for name in names]
+            cols = [self._term_column(name, newdata) for name in self.term_subset(terms)]
             return np.column_stack(cols) if cols else np.empty((0, 0))
 
         cols = [self._term_column(name, newdata) for name in self.terms]
@@ -99,6 +94,14 @@ class FittedModel:
         if type == "link":
             return eta
         return self.family.inverse_link(eta)
+
+    def term_subset(self, terms=None) -> list[str]:
+        """The requested term names (default: all); an unknown name raises DataValidationError."""
+        names = list(self.terms) if terms is None else list(terms)
+        unknown = [t for t in names if t not in self.terms]
+        if unknown:
+            raise DataValidationError(f"unknown term(s): {', '.join(unknown)}")
+        return names
 
     def _term_column(self, name: str, newdata: Dataset | None) -> np.ndarray:
         est = self.terms[name]
@@ -190,7 +193,7 @@ def fit(data, formula, config: FitConfig) -> FittedModel:
         needed.append(config.w_train)
     data.require(needed)
 
-    family = make_family(config.family, config.mu_clamp)
+    family = make_family(config.family)
     state, trace = local_scoring(data, formula, family, config)
 
     y = data.column(formula.response)
@@ -394,7 +397,7 @@ def _model_from_payload(payload: dict) -> FittedModel:
     )
     return FittedModel(
         formula=formula,
-        family=make_family(config.family, config.mu_clamp),
+        family=make_family(config.family),
         alpha=float(_decode(payload["alpha"], (), "alpha")),
         estimators=estimators,
         trace=trace,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, DataValidationError, NumericInstabilityError
+from .exceptions import DataValidationError, NumericInstabilityError
 
 RELU = "relu"
 IDENTITY = "linear"
@@ -69,8 +69,6 @@ class SubNetwork:
 
 def glorot_normal_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a (fan_out, fan_in) weight matrix ~ N(0, 2 / (fan_in + fan_out))."""
-    if fan_in < 1 or fan_out < 1:
-        raise ConfigError("layer fan-in and fan-out must be >= 1")
     std = np.sqrt(2.0 / (fan_in + fan_out))
     return rng.normal(0.0, std, size=(fan_out, fan_in))
 
@@ -97,11 +95,6 @@ def build_network(
     With num_units=(1024,) the layer fans are (1,1), (1,1024), (1024,1),
     giving parameter counts 2, 2048 and 1025.
     """
-    if activation not in ACTIVATIONS:
-        raise ConfigError(f"unsupported activation {activation!r}; supported: {ACTIVATIONS}")
-    num_units = tuple(int(u) for u in num_units)
-    if not num_units or any(u < 1 for u in num_units):
-        raise ConfigError("num_units must be a non-empty list of positive integers")
     layers = [
         DenseLayer(
             weights=glorot_normal_init(fan_in, fan_out, rng),
@@ -189,25 +182,16 @@ def gradients(net: SubNetwork, x, target, weights=None, l2_penalty: float = 0.0)
 class AdamState:
     """Adam optimizer state for one subnetwork (bias-corrected updates).
 
+    Only the step size is a setting; the decays and the offset are constants.
     Moments are zero-initialized and have the same shapes as the network
     parameters; step_count increments by exactly one per apply().
     """
 
+    beta1, beta2, epsilon = 0.9, 0.999, 1e-7  # the Keras defaults
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-7
-    step_count: int = 0
-    first_moment: list = field(default_factory=list)
-    second_moment: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ConfigError("Adam betas must lie in (0, 1)")
-        if self.epsilon <= 0:
-            raise ConfigError("Adam epsilon must be positive")
+    step_count: int = field(default=0, init=False)
+    first_moment: list = field(default_factory=list, init=False)
+    second_moment: list = field(default_factory=list, init=False)
 
     def _ensure_moments(self, net: SubNetwork) -> None:
         if self.first_moment:
@@ -272,8 +256,6 @@ def train_one_epoch(
         raise DataValidationError("x, target and weights must share a positive length")
     if np.any(weights < 0) or not np.sum(weights) > 0:
         raise DataValidationError("weights must be nonnegative with a positive sum")
-    if batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
 
     order = rng.permutation(n)
     total_sse = 0.0

@@ -65,6 +65,13 @@ class TestFlagDefaults:
         assert main([*self.ARGV, "--seed", "-1"]) == 2
         assert "seed must be a nonnegative integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--beta1", "--beta2", "--epsilon", "--mu-clamp"])
+    def test_engine_constants_have_no_flag(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.ARGV, flag, "0.5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_writes_four_files(self, sim_dir):
@@ -255,6 +262,20 @@ class TestPredict:
             ]
         )
         assert rc == 2
+
+    def test_unknown_term_named_before_csv_is_read(self, trained, sim_dir, tmp_path, capsys):
+        model_path, _ = trained
+        rc = main(
+            [
+                "predict", "--model", str(model_path),
+                "--data", str(sim_dir / "test.csv"), "--out", str(tmp_path / "p.csv"),
+                "--type", "terms", "--terms", "bogus",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown term(s): bogus" in err
+        assert "missing" not in err
 
 
 class TestSummary:

@@ -85,3 +85,12 @@ class TestCsvRoundTrip:
         path.write_text("a,b\n1,2,3\n")
         with pytest.raises(DataValidationError, match="expected 2 fields"):
             Dataset.from_csv(path)
+
+    def test_repeated_header_column_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x,x,y\n1,2,3\n")
+        for columns in (None, ["x", "y"]):
+            with pytest.raises(DataValidationError, match=r"d\.csv.*repeated column\(s\): x$"):
+                Dataset.from_csv(path, columns=columns)
+        # a repeated column that is not read does not matter
+        assert Dataset.from_csv(path, columns=["y"]).names() == ["y"]

@@ -114,14 +114,17 @@ class TestLinkInverse:
 class TestFactory:
     def test_by_name(self):
         assert make_family("gaussian").kind == "gaussian"
-        fam = make_family("binomial", mu_clamp=1e-4)
+        fam = make_family("binomial")
         assert fam.kind == "binomial"
-        assert fam.mu_clamp == 1e-4
+        assert fam.mu_clamp == 1e-5
 
     def test_unknown_family(self):
         with pytest.raises(ConfigError):
             make_family("poisson")
 
     def test_bad_clamp(self):
-        with pytest.raises(ConfigError):
+        # the clamp is a constant, not a setting
+        with pytest.raises(TypeError):
             Binomial(mu_clamp=0.7)
+        with pytest.raises(TypeError):
+            make_family("binomial", 1e-4)

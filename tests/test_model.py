@@ -1,5 +1,7 @@
 import json
 import re
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,16 +257,48 @@ class TestConfig:
         assert c.epochs_per_sweep == 1
         assert c.seed is None
         assert c.verbose == 1
-        assert c.mu_clamp == 1e-5
-        assert (c.beta1, c.beta2, c.epsilon) == (0.9, 0.999, 1e-7)
 
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            FitConfig(num_units=0)
-        with pytest.raises(ConfigError):
-            FitConfig(num_units=8, family="poisson")
-        with pytest.raises(ConfigError):
-            FitConfig(num_units=8, bf_threshold=0.0)
+    @pytest.mark.parametrize("kwargs,accepted", [
+        pytest.param(kwargs, accepted, id=", ".join(f"{k}={v!r}" for k, v in kwargs.items()))
+        for kwargs, accepted in [
+            ({"num_units": 0}, False),
+            ({"num_units": ()}, False),
+            ({"num_units": "12"}, False),  # not the widths (1, 2)
+            ({"num_units": 2.7}, False),  # not the width 2
+            ({"family": "poisson"}, False),
+            ({"activation": "tanh"}, False),
+            ({"learning_rate": -1}, False),
+            ({"learning_rate": float("inf")}, False),
+            ({"learning_rate": "0.1"}, False),
+            ({"batch_size": 0}, False),
+            ({"batch_size": 2.5}, False),
+            ({"max_iter_backfitting": 2.5}, False),
+            ({"bf_threshold": 0.0}, False),
+            ({"bf_threshold": float("nan")}, False),
+            ({"num_units": np.int64(8)}, True),
+            ({"num_units": [np.int32(4), 2]}, True),
+            ({"bf_threshold": 1}, True),
+        ]
+    ])
+    def test_validation(self, kwargs, accepted):
+        kwargs = {"num_units": 8, **kwargs}
+        if not accepted:
+            with pytest.raises(ConfigError):
+                FitConfig(**kwargs)
+            return
+        # accepted values become plain Python numbers, so the config saves as JSON
+        c = FitConfig(**kwargs)
+        assert all(type(u) is int for u in c.num_units)
+        assert type(c.bf_threshold) is float
+        json.dumps(asdict(c))
+
+    def test_readme_lists_every_setting(self):
+        # the README's settings paragraph is the one hand-kept copy of the config
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        paragraph = next(p for p in readme.split("\n\n") if p.startswith("`FitConfig`"))
+        named = set(re.findall(r"`(\w+)`", paragraph))
+        assert {f.name for f in fields(FitConfig)} <= named
+        assert not named & {"beta1", "beta2", "epsilon", "mu_clamp"}
 
     def test_l2_penalty_accepted_and_used(self):
         rng = np.random.default_rng(8)

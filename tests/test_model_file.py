@@ -63,8 +63,10 @@ MALFORMED = [
     ("missing_alpha", (), lambda p: p.pop("alpha")),
     ("terms_as_string", (), _set("terms", "x1")),
     ("unknown_family", ("config",), _set("family", "poisson")),
-    ("binomial_without_clamp", ("config",),
-     lambda c: c.update(family="binomial", mu_clamp=None)),
+    ("removed_setting_mu_clamp", ("config",), _set("mu_clamp", 1e-5)),
+    ("removed_setting_beta1", ("config",), _set("beta1", 5)),
+    ("fractional_batch_size", ("config",), _set("batch_size", 2.5)),
+    ("string_num_units", ("config",), _set("num_units", "12")),
     ("tanh_activation", ("config",), _set("activation", "tanh")),
     ("two_hidden_layers", ("config",), _set("num_units", [3, 3])),
     ("renamed_term", ("terms", 1), _set("name", "x3")),
@@ -100,11 +102,12 @@ def test_malformed_payload_rejected(saved, tmp_path, capsys, path, edit):
     assert capsys.readouterr().err.startswith("gannet: error: ")
 
 
-def test_version_1_file_rejected(saved, tmp_path, capsys):
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_file_version_rejected(saved, tmp_path, capsys, version):
     payload, _ = saved
-    model = tmp_path / "v1.json"
-    write_payload(model, payload, version=1)
-    with pytest.raises(ModelFileError, match="unsupported model file version 1"):
+    model = tmp_path / f"v{version}.json"
+    write_payload(model, payload, version=version)
+    with pytest.raises(ModelFileError, match=f"unsupported model file version {version}"):
         load_model(model)
     assert main(["summary", "--model", str(model)]) == 2
 
