@@ -87,7 +87,8 @@ class FittedModel:
 
         if type == "terms":
             cols = [self._term_column(name, newdata) for name in self.term_subset(terms)]
-            return np.column_stack(cols) if cols else np.empty((0, 0))
+            rows = self.n if newdata is None else newdata.n
+            return np.column_stack(cols) if cols else np.empty((rows, 0))
 
         cols = [self._term_column(name, newdata) for name in self.terms]
         eta = self.alpha + np.sum(np.column_stack(cols), axis=1)
@@ -352,7 +353,7 @@ def _decode_estimator(term, tp: dict, config: FitConfig, n: int):
             weights = _decode(lp["weights"], (fan_out, fan_in), f"{what} weights")
             biases = _decode(lp["biases"], (fan_out,), f"{what} biases")
             layers.append(nn_core.DenseLayer(weights, biases, act))
-        net = nn_core.SubNetwork(layers, config.num_units, config.activation)
+        net = nn_core.SubNetwork(layers)
         est = SmoothTermEstimator.from_parts(name, net)
     else:
         est = LinearTermEstimator.from_parts(

@@ -1,4 +1,4 @@
-"""Minimal dense feed-forward engine for one-input/one-output subnetworks.
+"""Minimal feed-forward engine for one-input/one-output subnetworks.
 
 Every smooth term is estimated by a small MLP that maps a single covariate
 to a single output. The architecture mirrors the width-1 input projection
@@ -10,6 +10,24 @@ passed in.
 The input projection stays linear regardless of the configured activation:
 a relu there would clamp the network to a constant on half of its input
 domain before any hidden unit sees the data.
+
+Spline kernel. A network of exactly one relu hidden layer (the default
+configuration) is a linear spline of u = w1*x + b1: with hidden weights
+a, biases b, output weights v and output bias c,
+f(u) = c + A(u)*u + C(u), where A and C sum v_k*a_k and v_k*b_k over the
+units active at u. Unit k is active when a_k*u + b_k > 0 (strictly, as
+relu'(0) = 0 in the dense code): above its knot t_k = -b_k/a_k when
+a_k > 0, below it when a_k < 0, and everywhere or nowhere when a_k = 0,
+by the sign of b_k. `forward` and `_batch_loss_and_grads` sort u, place
+every knot among the sorted rows and take prefix/suffix sums, which costs
+O((n + H) log n) time and O(n + H) memory instead of O(nH). The batch
+gradients follow from the suffix sums S0_k and S1_k of delta and delta*u
+over each unit's active rows: dv_k = a_k*S1_k + b_k*S0_k,
+da_k = v_k*S1_k, db_k = v_k*S0_k, and the input layer sees delta*A(u).
+Which code runs is read off the layer list; every other network (deeper,
+or linear hidden units) takes the dense code, whose `forward` runs over
+blocks of rows (FORWARD_BLOCK_FLOATS) so that no call holds an n x H
+temporary. The dense code is also the tests' oracle for the kernel.
 """
 
 from __future__ import annotations
@@ -24,6 +42,13 @@ RELU = "relu"
 IDENTITY = "linear"
 
 ACTIVATIONS = (RELU, IDENTITY)
+
+# floats per temporary of the dense forward pass, which runs over blocks of
+# this many floats divided by the widest layer's width in rows. Memory then
+# stays linear in n, and the allocator reuses 256 KB blocks from call to
+# call, where blocks of 1 MB and more went back to the system and were
+# page-faulted in again on the next call.
+FORWARD_BLOCK_FLOATS = 1 << 15
 
 
 @dataclass
@@ -60,8 +85,6 @@ class SubNetwork:
     """Dense MLP with input width 1 and a single linear output unit."""
 
     layers: list[DenseLayer]
-    num_units: tuple[int, ...]
-    activation: str
 
     def parameter_count(self) -> int:
         return sum(layer.n_params for layer in self.layers)
@@ -103,18 +126,85 @@ def build_network(
         )
         for fan_in, fan_out, act in layer_plan(num_units, activation)
     ]
-    return SubNetwork(layers=layers, num_units=num_units, activation=activation)
+    return SubNetwork(layers)
 
 
 def forward(net: SubNetwork, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network on a vector of inputs."""
-    x = np.asarray(x, dtype=np.float64)
+    """Evaluate the network on a vector of inputs (see the module docstring)."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(x)):
         raise DataValidationError("network input contains non-finite values")
-    a = x.reshape(-1, 1)
-    for layer in net.layers:
-        a = layer.apply_activation(a @ layer.weights.T + layer.biases)
-    return a[:, 0]
+    out = np.empty_like(x)
+    if _is_spline(net):
+        spline = _Spline(net, x)
+        out[spline.order] = spline.f
+        return out
+    rows = max(1, FORWARD_BLOCK_FLOATS // max(layer.fan_out for layer in net.layers))
+    for start in range(0, x.size, rows):
+        block = slice(start, start + rows)
+        a = x[block].reshape(-1, 1)
+        for layer in net.layers:
+            a = a @ layer.weights.T  # the layer's one temporary; the rest is in place
+            a += layer.biases
+            if layer.activation == RELU:
+                np.maximum(a, 0.0, out=a)
+        out[block] = a[:, 0]
+    return out
+
+
+def _is_spline(net: SubNetwork) -> bool:
+    """True for dense(1->1, linear) -> dense(1->H, relu) -> dense(H->1, linear)."""
+    acts = [layer.activation for layer in net.layers]
+    return acts == [IDENTITY, RELU, IDENTITY] and net.layers[0].weights.shape == (1, 1)
+
+
+class _Spline:
+    """A one-hidden-layer relu network evaluated as a linear spline of u.
+
+    Rows are held in ascending order of u = w1*x + b1 (`order` maps sorted
+    to original rows). Hidden unit k is active on the sorted rows
+    [lo_k, n) when `rising[k]` (a_k >= 0), else on [0, hi_k). `slope` is
+    A(u) and `f` the network output, both per sorted row.
+    """
+
+    def __init__(self, net: SubNetwork, x: np.ndarray):
+        inp, hidden, out = net.layers
+        self.a, self.b, self.v = hidden.weights[:, 0], hidden.biases, out.weights[0]
+        u = x * inp.weights[0, 0] + inp.biases[0]
+        self.order = np.argsort(u, kind="stable")
+        self.x, self.u = x, u[self.order]
+        a, b = self.a, self.b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            knots = np.where(a == 0.0, np.where(b > 0.0, -np.inf, np.inf), -b / a)
+        self.rising = a >= 0.0
+        self.lo = np.searchsorted(self.u, knots, side="right")
+        self.hi = np.searchsorted(self.u, knots, side="left")
+        self.slope = self._active_units_sum(self.v * a)
+        self.f = self.slope * self.u + self._active_units_sum(self.v * b) + out.biases[0]
+
+    def _active_units_sum(self, w: np.ndarray) -> np.ndarray:
+        """Per sorted row: the sum of w_k over the units active on it."""
+        n = self.u.size
+        rising = np.cumsum(np.bincount(self.lo, np.where(self.rising, w, 0.0), n + 1))
+        falling = np.cumsum(np.bincount(self.hi, np.where(self.rising, 0.0, w), n + 1)[::-1])
+        return rising[:n] + falling[::-1][1:]
+
+    def _active_rows_sum(self, d: np.ndarray) -> np.ndarray:
+        """Per unit: the sum of d (per sorted row) over the rows where it is active."""
+        prefix = np.concatenate(([0.0], np.cumsum(d)))
+        suffix = np.concatenate((np.cumsum(d[::-1])[::-1], [0.0]))
+        return np.where(self.rising, suffix[self.lo], prefix[self.hi])
+
+    def grads(self, delta: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (weights, biases) gradients for output gradient delta per sorted row."""
+        s0 = self._active_rows_sum(delta)
+        s1 = self._active_rows_sum(delta * self.u)
+        d_in = delta * self.slope
+        return [
+            (np.array([[np.dot(d_in, self.x[self.order])]]), np.array([np.sum(d_in)])),
+            ((self.v * s1)[:, None], self.v * s0),
+            ((self.a * s1 + self.b * s0)[None, :], np.array([np.sum(delta)])),
+        ]
 
 
 def _forward_cached(net: SubNetwork, x: np.ndarray):
@@ -138,29 +228,44 @@ def _batch_loss_and_grads(net, x, target, weights, l2_penalty):
     sum(w * (t - yhat)^2) / sum(w) + l2_penalty * sum(||W_l||^2); the
     returned sse excludes the penalty term.
     """
-    activations, pre = _forward_cached(net, x)
-    yhat = activations[-1][:, 0]
-    resid = yhat - target
     wsum = float(np.sum(weights))
-    wsse = float(np.sum(weights * resid * resid))
-
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
-    if wsum > 0.0:
-        delta = (2.0 * weights * resid / wsum).reshape(-1, 1)
+    if _is_spline(net):
+        # the kernel holds the batch in ascending order of u
+        spline = _Spline(net, x)
+        weights, target = weights[spline.order], target[spline.order]
+        yhat, backprop = spline.f, spline.grads
     else:
-        delta = np.zeros((x.shape[0], 1))
+        activations, pre = _forward_cached(net, x)
+        yhat = activations[-1][:, 0]
+
+        def backprop(delta):
+            return _dense_grads(net, activations, pre, delta)
+
+    resid = yhat - target
+    wsse = float(np.sum(weights * resid * resid))
+    if wsum > 0.0:
+        delta = 2.0 * weights * resid / wsum
+    else:
+        delta = np.zeros(x.shape[0])
+    grads = backprop(delta)
+    if l2_penalty:
+        grads = [(g_w + 2.0 * l2_penalty * layer.weights, g_b)
+                 for (g_w, g_b), layer in zip(grads, net.layers)]
+    return wsse, wsum, grads
+
+
+def _dense_grads(net, activations, pre, delta):
+    """Backpropagate the output gradient delta through the cached dense pass."""
+    delta = delta.reshape(-1, 1)
+    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
-        g_w = delta.T @ activations[k]
-        if l2_penalty:
-            g_w = g_w + 2.0 * l2_penalty * layer.weights
-        g_b = delta.sum(axis=0)
-        grads[k] = (g_w, g_b)
+        grads[k] = (delta.T @ activations[k], delta.sum(axis=0))
         if k > 0:
             delta = delta @ layer.weights
             if net.layers[k - 1].activation == RELU:
                 delta = delta * (pre[k - 1] > 0.0)
-    return wsse, wsum, grads
+    return grads
 
 
 def gradients(net: SubNetwork, x, target, weights=None, l2_penalty: float = 0.0):

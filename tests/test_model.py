@@ -104,6 +104,15 @@ class TestPredict:
         np.testing.assert_array_equal(out[:, 0], full[:, 1])
         np.testing.assert_array_equal(out[:, 1], full[:, 0])
 
+    @pytest.mark.parametrize("with_newdata", [True, False])
+    def test_empty_terms_subset_keeps_rows(self, mixed_model_and_data, with_newdata):
+        model, data = mixed_model_and_data
+        newdata = Dataset({"x1": data.column("x1")[:7], "x2": data.column("x2")[:7]})
+        if with_newdata:
+            assert model.predict(newdata, type="terms", terms=[]).shape == (7, 0)
+        else:
+            assert model.predict(type="terms", terms=[]).shape == (model.n, 0)
+
     def test_unknown_term_rejected(self, mixed_model_and_data):
         model, data = mixed_model_and_data
         with pytest.raises(DataValidationError, match="nope"):

@@ -1,9 +1,11 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gannet import nn_core
 from gannet.exceptions import DataValidationError, NumericInstabilityError
 from gannet.nn_core import (
     AdamState,
@@ -15,11 +17,12 @@ from gannet.nn_core import (
     gradients,
     train_one_epoch,
 )
+from gannet.nn_core import _batch_loss_and_grads, _is_spline
 
 
 def single_layer_net(w: float, b: float) -> SubNetwork:
     layer = DenseLayer(np.array([[w]]), np.array([b]), "linear")
-    return SubNetwork([layer], num_units=(), activation="linear")
+    return SubNetwork([layer])
 
 
 def weighted_mse(net, x, t, w, l2=0.0):
@@ -59,6 +62,61 @@ def max_relative_error(analytic, numeric):
             denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
             worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
+
+
+def dense(fn, *args, **kwargs):
+    """Call fn with the spline kernel switched off: the dense code is its oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn_core, "_is_spline", lambda net: False)
+        return fn(*args, **kwargs)
+
+
+def spline_net(a, b, v, c=0.3, w1=1.25, b1=-0.2) -> SubNetwork:
+    """dense(1->1) -> dense(1->H, relu) -> dense(H->1) with the given parameters."""
+    return SubNetwork([
+        DenseLayer(np.array([[w1]]), np.array([b1]), "linear"),
+        DenseLayer(np.array(a, dtype=float)[:, None], np.array(b, dtype=float), "relu"),
+        DenseLayer(np.array(v, dtype=float)[None, :], np.array([c]), "linear"),
+    ])
+
+
+def random_spline_case(seed, units=8, rows=40, **net_kwargs):
+    rng = np.random.default_rng(seed)
+    net = spline_net(rng.normal(0, 1, units), rng.normal(0, 0.5, units),
+                     rng.normal(0, 1, units), **net_kwargs)
+    return net, rng.uniform(-2, 2, rows), rng.uniform(0.1, 2.0, rows)
+
+
+# (net, x, weights) per case; each puts one rule of the kernel in play
+SPLINE_CASES = {
+    "mixed_slopes": random_spline_case(1),
+    "wide": random_spline_case(2, units=256, rows=300),
+    "zero_slope_units": (
+        spline_net([0.0, 0.0, 1.0, -0.5], [0.7, -0.4, 0.2, 0.1], [1.5, 3.0, 0.5, -1.0]),
+        np.linspace(-2, 2, 8), np.ones(8),
+    ),
+    # a = b = 0: pre-activation exactly 0 on every row, a kink in (a, b)
+    "zero_slope_zero_bias": (
+        spline_net([0.0, 1.0], [0.0, 0.2], [-2.0, 0.5]), np.linspace(-2, 2, 8), np.ones(8),
+    ),
+    "negative_w1": random_spline_case(3, w1=-0.8),
+    "zero_w1": random_spline_case(4, w1=0.0),
+    # u = 0.5 is the knot of units 0 and 1 (pre-activation exactly 0)
+    "row_on_knot": (
+        spline_net([2.0, -4.0, 1.0], [-1.0, 2.0, 0.25], [1.0, 2.0, -1.5], w1=1.0, b1=0.0),
+        np.array([0.5, -1.0, 0.5, 1.5, 0.25]), np.ones(5),
+    ),
+    "repeated_u": (
+        random_spline_case(5)[0],
+        np.array([0.3] * 5 + [-1.1] * 3 + [1.7] * 4), np.linspace(0.5, 1.5, 12),
+    ),
+    "single_row": random_spline_case(6, rows=1),
+    "zero_weight_batch": (random_spline_case(7)[0], np.linspace(-2, 2, 6), np.zeros(6)),
+}
+# the cases where the loss is differentiable: no pre-activation exactly 0
+# and a positive weight sum
+SMOOTH_CASES = ["mixed_slopes", "zero_slope_units", "negative_w1", "zero_w1",
+                "repeated_u", "single_row"]
 
 
 class TestGlorotInit:
@@ -112,7 +170,7 @@ class TestForward:
         # hidden: relu([1, -2] * x + [0.5, 0.25]); out: [3, -1] . h + 0.125
         hidden = DenseLayer(np.array([[1.0], [-2.0]]), np.array([0.5, 0.25]), "relu")
         out = DenseLayer(np.array([[3.0, -1.0]]), np.array([0.125]), "linear")
-        net = SubNetwork([hidden, out], num_units=(2,), activation="relu")
+        net = SubNetwork([hidden, out])
         x = -1.0
         h1 = max(0.0, 1.0 * x + 0.5)      # 0.0
         h2 = max(0.0, -2.0 * x + 0.25)    # 2.25
@@ -161,6 +219,83 @@ class TestGradients:
         analytic = gradients(net, x, t, w, l2_penalty=0.05)
         numeric = finite_difference_grads(net, x, t, w, l2=0.05)
         assert max_relative_error(analytic, numeric) < 1e-5
+
+
+class TestSplineKernel:
+    def test_applies_to_one_relu_hidden_layer_only(self):
+        rng = np.random.default_rng(0)
+        assert _is_spline(build_network((16,), "relu", rng))
+        assert not _is_spline(build_network((16,), "linear", rng))
+        assert not _is_spline(build_network((8, 8), "relu", rng))
+        assert not _is_spline(single_layer_net(1.0, 0.0))
+
+    @pytest.mark.parametrize("case", SPLINE_CASES)
+    def test_forward_matches_dense(self, case):
+        net, x, _ = SPLINE_CASES[case]
+        np.testing.assert_allclose(forward(net, x), dense(forward, net, x), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    @pytest.mark.parametrize("case", SPLINE_CASES)
+    def test_loss_and_gradients_match_dense(self, case, l2):
+        net, x, w = SPLINE_CASES[case]
+        t = np.cos(3.0 * x)
+        wsse, wsum, grads = _batch_loss_and_grads(net, x, t, w, l2)
+        d_wsse, d_wsum, d_grads = dense(_batch_loss_and_grads, net, x, t, w, l2)
+        assert wsum == d_wsum
+        assert abs(wsse - d_wsse) <= 1e-12 * max(1.0, abs(d_wsse))
+        assert [(g.shape, h.shape) for g, h in grads] == [(g.shape, h.shape) for g, h in d_grads]
+        assert max_relative_error(grads, d_grads) <= 1e-12
+
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    @pytest.mark.parametrize("case", SMOOTH_CASES)
+    def test_gradients_match_finite_differences(self, case, l2):
+        net, x, w = SPLINE_CASES[case]
+        t = np.cos(3.0 * x)
+        analytic = gradients(net, x, t, w, l2_penalty=l2)
+        numeric = finite_difference_grads(net, x, t, w, l2=l2)
+        assert max_relative_error(analytic, numeric) < 1e-5
+
+    def test_row_on_knot_is_inactive(self):
+        net, _, _ = SPLINE_CASES["row_on_knot"]
+        # units 0 and 1 sit exactly at 0 on u = 0.5; only unit 2 adds to f
+        expected = 0.3 - 1.5 * (0.5 + 0.25)
+        assert forward(net, np.array([0.5]))[0] == expected
+
+    def test_same_seed_training_is_bit_identical(self):
+        def run():
+            net = build_network((32,), "relu", np.random.default_rng(3))
+            x = np.round(np.random.default_rng(4).uniform(-2, 2, 300), 1)  # ties in u
+            adam, shuffle = AdamState(learning_rate=0.01), np.random.default_rng(5)
+            for _ in range(3):
+                train_one_epoch(net, x, np.sin(2 * x), np.ones(300), adam, 32, shuffle)
+            return net, forward(net, x)
+
+        (net_a, f_a), (net_b, f_b) = run(), run()
+        assert _is_spline(net_a)
+        np.testing.assert_array_equal(f_a, f_b)
+        for la, lb in zip(net_a.layers, net_b.layers):
+            np.testing.assert_array_equal(la.weights, lb.weights)
+            np.testing.assert_array_equal(la.biases, lb.biases)
+
+
+class TestForwardMemory:
+    @pytest.mark.parametrize("num_units", [(1024,), (64, 64)])
+    def test_peak_allocation_is_linear_in_rows(self, num_units):
+        net = build_network(num_units, "relu", np.random.default_rng(0))
+
+        def peak_bytes(n):
+            x = np.random.default_rng(1).uniform(-2, 2, n)
+            tracemalloc.start()
+            try:
+                forward(net, x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # a few float64/int64 vectors per row, never a row x width block
+        # (which for these widths is 512-8192 bytes per row)
+        rows = 200_000 - 10_000
+        assert peak_bytes(200_000) - peak_bytes(10_000) <= 16 * 8 * rows
 
 
 class TestAdam:
