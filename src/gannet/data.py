@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from array import array
 
 import numpy as np
 
@@ -94,7 +95,8 @@ class Dataset:
                 raise DataValidationError(f"{path}: repeated column(s): {', '.join(repeated)}")
             positions = [header.index(c) for c in keep]
 
-            rows: list[list[float]] = []
+            # the kept rows' values in one flat buffer: 8 bytes a value, no list per row
+            values = array("d")
             n_dropped = 0
             for lineno, row in enumerate(reader, start=2):
                 if not row or all(not cell.strip() for cell in row):
@@ -117,26 +119,20 @@ class Dataset:
                             f"{path}:{lineno}: non-numeric value {cell!r} in column {col!r}"
                         )
                 if ok:
-                    rows.append(parsed)
+                    values.extend(parsed)
                 else:
                     n_dropped += 1
 
         if n_dropped:
             logger.warning("%s: dropped %d row(s) with missing values", path, n_dropped)
-        data = np.asarray(rows, dtype=np.float64) if rows else np.empty((0, len(keep)))
-        ds = cls({name: data[:, j] for j, name in enumerate(keep)})
+        data = np.frombuffer(values, dtype=np.float64)
+        ds = cls({name: data[j::len(keep)] for j, name in enumerate(keep)})
         ds.n_dropped = n_dropped
         return ds
 
     def to_csv(self, path) -> None:
         """Write columns as CSV; floats use repr so values round-trip exactly."""
-        names = self.names()
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(names)
-            cols = [self.columns[n] for n in names]
-            for i in range(self.n):
-                writer.writerow([repr(float(col[i])) for col in cols])
+        write_csv(path, self.names(), list(self.columns.values()))
 
 
 def write_csv(path, header: list[str], columns: list) -> None:

@@ -1,17 +1,19 @@
 """User-facing model object: fitting, prediction, summaries, persistence.
 
-A fitted model stores the intercept, one estimator per formula term
+A fitted model is the intercept, one estimator per formula term
 (subnetwork or linear slope, each with its centering offset), the
-training trace, and enough training metadata (per-term ranges, fitted
-values, final additive predictor) to reproduce predictions exactly.
+training trace, and per-term training ranges. A model returned by `fit`
+also keeps its fitted values and final additive predictor on the
+training rows, so `predict()` without data answers for those rows.
 
-Model files are JSON with a content checksum. They store each quantity
-once: the subnetwork architecture is rebuilt from the stored config, the
-family from the config's `family` name alone, and each term's kind from
-the stored formula. Floats are written with full round-trip precision,
-so predictions from a loaded model are bit-identical to the original.
-Optimizer state is not saved; a loaded model predicts but does not
-resume training.
+Model files are JSON with a content checksum. They hold the model, not
+the training rows, and store each quantity once: the subnetwork
+architecture is rebuilt from the stored config, the family from the
+config's `family` name alone, and each term's kind from the stored
+formula. Floats are written with full round-trip precision, so a loaded
+model predicts bit-identically to the original on the same data; it
+needs that data passed in. Optimizer state is not saved; a loaded model
+predicts but does not resume training.
 """
 
 from __future__ import annotations
@@ -33,13 +35,17 @@ from .formula import SMOOTH, Formula, format_formula, parse_formula
 from .local_scoring import IterationRecord, LocalScoringTrace, local_scoring
 
 FILE_FORMAT = "gannet-model"
-FILE_VERSION = 3
+FILE_VERSION = 4
 
 PREDICT_TYPES = ("link", "response", "terms")
 
 
 class FittedModel:
-    """Result of :func:`fit`; immutable once constructed."""
+    """Result of :func:`fit`; immutable once constructed.
+
+    `training_eta` is the additive predictor on the training rows, or
+    None for a model loaded from file, which stores no training rows.
+    """
 
     def __init__(
         self,
@@ -51,7 +57,7 @@ class FittedModel:
         config: FitConfig,
         n: int,
         training_mse: float,
-        training_eta: np.ndarray,
+        training_eta: np.ndarray | None,
         term_ranges: dict[str, tuple[float, float]],
     ):
         self.formula = formula
@@ -72,18 +78,24 @@ class FittedModel:
 
     def predict(self, newdata: Dataset | None = None, type: str = "link",
                 terms=None) -> np.ndarray:
-        """Predict on new data (or the training rows when newdata is None).
+        """Predict on `newdata`, or on the training rows when it is None.
 
         type='terms' returns one column per requested term, in request
         order, including each term's training centering offset;
         type='link' returns the additive predictor (intercept plus all
         term columns); type='response' maps the link through the inverse
-        link function.
+        link function. Only a model returned by `fit` knows its training
+        rows: on a model loaded from file, omitting `newdata` raises
+        DataValidationError.
         """
         if type not in PREDICT_TYPES:
             raise ConfigError(f"predict type must be one of {PREDICT_TYPES}, got {type!r}")
         if type != "terms" and terms is not None:
             raise ConfigError("a terms subset is only valid with type='terms'")
+        if newdata is None and self.training_eta is None:
+            raise DataValidationError(
+                "a model loaded from file stores no training rows; pass the data to predict on"
+            )
 
         if type == "terms":
             cols = [self._term_column(name, newdata) for name in self.term_subset(terms)]
@@ -236,7 +248,6 @@ def _estimator_payload(est, lo: float, hi: float) -> dict:
         "offset": float(est.offset),
         "train_min": lo,
         "train_max": hi,
-        "fitted_values": _floats(est.fitted_values),
     }
     if est.kind == SMOOTH:
         base["layers"] = [
@@ -269,7 +280,6 @@ def _model_payload(model: FittedModel) -> dict:
         "alpha": float(model.alpha),
         "n": model.n,
         "training_mse": float(model.training_mse),
-        "training_eta": _floats(model.training_eta),
         "config": asdict(model.config),
         "terms": [
             _estimator_payload(est, *model.term_ranges[est.name])
@@ -341,7 +351,7 @@ def _decode(values, shape: tuple, what: str) -> np.ndarray:
     return arr
 
 
-def _decode_estimator(term, tp: dict, config: FitConfig, n: int):
+def _decode_estimator(term, tp: dict, config: FitConfig):
     name = term.name
     if term.kind == SMOOTH:
         plan = nn_core.layer_plan(config.num_units, config.activation)
@@ -362,20 +372,22 @@ def _decode_estimator(term, tp: dict, config: FitConfig, n: int):
             float(_decode(tp["x_center"], (), f"term {name!r} x_center")),
         )
     est.offset = float(_decode(tp["offset"], (), f"term {name!r} offset"))
-    est.fitted_values = _decode(tp["fitted_values"], (n,), f"term {name!r} fitted_values")
     return est
 
 
 def _model_from_payload(payload: dict) -> FittedModel:
     config = FitConfig(**payload["config"])
     formula = parse_formula(payload["formula"])
-    n = int(payload["n"])
+    n = payload["n"]
+    # a stored n is checked against nothing else; 2 is the fewest rows fit accepts
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+        raise ModelFileError(f"n must be an integer >= 2, got {n!r}")
     terms = payload["terms"]
     names = [tp["name"] for tp in terms]
     if names != list(formula.term_names):
         raise ModelFileError(f"stored terms {names} do not match the formula's terms")
     estimators = [
-        _decode_estimator(term, tp, config, n) for term, tp in zip(formula.terms, terms)
+        _decode_estimator(term, tp, config) for term, tp in zip(formula.terms, terms)
     ]
     term_ranges = {
         tp["name"]: tuple(_decode([tp["train_min"], tp["train_max"]], (2,), "range").tolist())
@@ -405,6 +417,6 @@ def _model_from_payload(payload: dict) -> FittedModel:
         config=config,
         n=n,
         training_mse=float(_decode(payload["training_mse"], (), "training_mse")),
-        training_eta=_decode(payload["training_eta"], (n,), "training_eta"),
+        training_eta=None,
         term_ranges=term_ranges,
     )

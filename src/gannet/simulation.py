@@ -13,6 +13,7 @@ identical datasets on any platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,11 @@ class ScenarioSpec:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("covariate_low", "covariate_high", "alpha0", "noise_mean", "noise_sd"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ConfigError("seed must be a nonnegative integer")
         if self.n < 2:
             raise ConfigError("scenario n must be >= 2")
         if not self.covariate_low < self.covariate_high:

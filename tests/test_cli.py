@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from gannet.cli import main
+from gannet.config import FitConfig
 from gannet.data import Dataset
+from gannet.model import fit
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +100,15 @@ class TestSimulate:
         ]) == 0
         n = Dataset.from_csv(d / "train.csv").n + Dataset.from_csv(d / "test.csv").n
         assert n == 100
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--high", "inf"), ("--seed", "-1"), ("--noise-sd", "nan"), ("--alpha", "nan"),
+    ])
+    def test_bad_scenario_exit_2(self, tmp_path, capsys, flag, value):
+        d = tmp_path / "bad"
+        assert main(["simulate", "--out-dir", str(d), "--n", "100", flag, value]) == 2
+        assert capsys.readouterr().err.startswith("gannet: error: ")
+        assert not d.exists()
 
 
 class TestTrain:
@@ -218,10 +229,11 @@ class TestPredict:
         )
         assert rc == 0
         pred = Dataset.from_csv(out).column("prediction")
-        stored = np.asarray(
-            json.loads(model_path.read_text())["model"]["training_eta"]
-        )
-        np.testing.assert_allclose(pred, stored, atol=1e-10)
+        # the `trained` fixture's fit, in process, keeps its training predictor
+        config = FitConfig(num_units=8, learning_rate=0.01, max_iter_backfitting=3,
+                           seed=11, verbose=0)
+        model = fit(Dataset.from_csv(sim_dir / "train.csv"), "y ~ s(x1) + x2 + s(x3)", config)
+        np.testing.assert_allclose(pred, model.training_eta, atol=1e-10)
 
     def test_empty_newdata_gives_header_only(self, trained, tmp_path):
         model_path, _ = trained

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,3 +96,16 @@ class TestCsvRoundTrip:
                 Dataset.from_csv(path, columns=columns)
         # a repeated column that is not read does not matter
         assert Dataset.from_csv(path, columns=["y"]).names() == ["y"]
+
+    def test_read_allocates_about_one_float_per_value(self, tmp_path):
+        rng = np.random.default_rng(1)
+        n = 20_000
+        Dataset({c: rng.normal(size=n) for c in "abcd"}).to_csv(tmp_path / "d.csv")
+        tracemalloc.start()
+        try:
+            ds = Dataset.from_csv(tmp_path / "d.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.n == n
+        assert peak < 16 * 4 * n  # a float64 is 8 bytes; a list of floats per row took 64

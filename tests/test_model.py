@@ -193,7 +193,7 @@ class TestSerialization:
             model.predict(data, type="link"), loaded.predict(data, type="link")
         )
         np.testing.assert_array_equal(
-            model.predict(type="link"), loaded.predict(type="link")
+            model.predict(type="link"), loaded.predict(data, type="link")
         )
         np.testing.assert_array_equal(
             model.predict(data, type="terms"), loaded.predict(data, type="terms")
@@ -209,6 +209,17 @@ class TestSerialization:
         for name in ("a.json", "b.json"):
             save_model(fit(data, "y ~ s(x)", cfg(seed=77)), tmp_path / name)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_file_size_does_not_grow_with_rows(self, tmp_path):
+        sizes = []
+        for n in (500, 5000):
+            rng = np.random.default_rng(8)
+            x, z = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+            data = Dataset({"x": x, "z": z, "y": np.sin(2 * x) + z + rng.normal(0, 0.1, n)})
+            path = tmp_path / f"n{n}.json"
+            save_model(fit(data, "y ~ s(x) + z", cfg(max_iter_backfitting=2)), path)
+            sizes.append(path.stat().st_size)
+        assert abs(sizes[1] - sizes[0]) <= 100, sizes
 
     def test_truncated_file_rejected(self, mixed_model_and_data, tmp_path):
         model, _ = mixed_model_and_data

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from gannet.cli import main
 from gannet.config import FitConfig
 from gannet.data import Dataset
-from gannet.exceptions import ModelFileError
+from gannet.exceptions import DataValidationError, ModelFileError
 from gannet.model import FILE_FORMAT, FILE_VERSION, fit, load_model, save_model
 
 
@@ -72,12 +72,15 @@ MALFORMED = [
     ("renamed_term", ("terms", 1), _set("name", "x3")),
     ("swapped_terms", ("terms",), lambda terms: terms.reverse()),
     ("linear_as_smooth", (), _set("formula", "y ~ s(x1) + s(x2)")),
-    ("short_fitted_values", ("terms", 1, "fitted_values"), lambda v: v.pop()),
-    ("short_training_eta", ("training_eta",), lambda v: v.pop()),
     ("string_slope", ("terms", 1), _set("slope", "steep")),
     ("string_loss", ("trace", 0, "per_term_epoch_losses"), _set("x1", ["low"])),
     ("losses_as_list", ("trace", 0), _set("per_term_epoch_losses", [1.0])),
     ("infinite_n", (), _set("n", float("inf"))),
+    ("fractional_n", (), _set("n", 2.5)),
+    ("negative_n", (), _set("n", -3)),
+    ("zero_n", (), _set("n", 0)),
+    ("boolean_n", (), _set("n", True)),
+    ("string_n", (), _set("n", "7")),
     ("formula_as_number", (), _set("formula", 5)),
 ]
 
@@ -102,7 +105,7 @@ def test_malformed_payload_rejected(saved, tmp_path, capsys, path, edit):
     assert capsys.readouterr().err.startswith("gannet: error: ")
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_old_file_version_rejected(saved, tmp_path, capsys, version):
     payload, _ = saved
     model = tmp_path / f"v{version}.json"
@@ -110,6 +113,19 @@ def test_old_file_version_rejected(saved, tmp_path, capsys, version):
     with pytest.raises(ModelFileError, match=f"unsupported model file version {version}"):
         load_model(model)
     assert main(["summary", "--model", str(model)]) == 2
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"type": "link"}, {"type": "response"}, {"type": "terms"},
+    {"type": "terms", "terms": []}, {"type": "terms", "terms": ["x2"]},
+], ids=["link", "response", "terms", "no_terms", "one_term"])
+def test_loaded_model_needs_data_to_predict(saved, tmp_path, kwargs):
+    payload, out = saved
+    write_payload(tmp_path / "m.json", payload)
+    model = load_model(tmp_path / "m.json")
+    with pytest.raises(DataValidationError, match="pass the data"):
+        model.predict(**kwargs)
+    assert model.predict(Dataset.from_csv(out / "data.csv"), **kwargs).shape[0] == 60
 
 
 def test_unedited_payload_loads(saved, tmp_path):

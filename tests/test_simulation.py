@@ -73,6 +73,14 @@ class TestScenario:
         with pytest.raises(ConfigError):
             ScenarioSpec(covariate_low=2.0, covariate_high=-2.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("covariate_low", -np.inf), ("covariate_high", np.inf), ("covariate_high", np.nan),
+        ("alpha0", np.nan), ("noise_mean", np.inf), ("noise_sd", np.nan), ("seed", -1),
+    ])
+    def test_non_finite_or_negative_seed_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ScenarioSpec(**{field: value})
+
 
 class TestBinomialFixture:
     def test_probability_at_origin(self):
