@@ -4,7 +4,9 @@ The `train` fit flags are generated from FitConfig's fields (dashes for
 underscores), taking type, default and help from the dataclass, so the
 two surfaces cannot disagree. Every error path prints one
 `gannet: error: ...` line to stderr and exits 2 for configuration/input
-problems or 1 for runtime failures.
+problems or 1 for runtime failures. A warning, such as predicting outside
+a term's training range, prints one `gannet: warning: ...` line and leaves
+the exit code alone.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import logging
 import os
 import sys
+import warnings
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -225,17 +228,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"gannet: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     logging.basicConfig(format="%(message)s", level=logging.INFO)
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ConfigError, FormulaError, DataValidationError, ModelFileError) as exc:
-        print(f"gannet: error: {exc}", file=sys.stderr)
-        return 2
-    except (GannetError, OSError) as exc:
-        print(f"gannet: error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (ConfigError, FormulaError, DataValidationError, ModelFileError) as exc:
+            print(f"gannet: error: {exc}", file=sys.stderr)
+            return 2
+        except (GannetError, OSError) as exc:
+            print(f"gannet: error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -97,12 +97,12 @@ class FittedModel:
                 "a model loaded from file stores no training rows; pass the data to predict on"
             )
 
+        cols = []
+        for name in self.term_subset(terms):  # not a comprehension: see _term_column
+            cols.append(self._term_column(name, newdata))
         if type == "terms":
-            cols = [self._term_column(name, newdata) for name in self.term_subset(terms)]
             rows = self.n if newdata is None else newdata.n
             return np.column_stack(cols) if cols else np.empty((rows, 0))
-
-        cols = [self._term_column(name, newdata) for name in self.terms]
         eta = self.alpha + np.sum(np.column_stack(cols), axis=1)
         if type == "link":
             return eta
@@ -125,6 +125,8 @@ class FittedModel:
             raise DataValidationError(f"covariate {name!r} contains non-finite values")
         lo, hi = self.term_ranges[name]
         if x.size and (np.min(x) < lo or np.max(x) > hi):
+            # stacklevel 3 names predict's caller; predict calls this from a plain
+            # loop, since before Python 3.12 a comprehension is a frame of its own
             warnings.warn(
                 f"term {name!r}: values outside the training range "
                 f"[{lo:.6g}, {hi:.6g}]; network extrapolation is unreliable",
@@ -160,7 +162,7 @@ class FittedModel:
                 lines.append(f"{est.name}:")
                 for layer in est.net.layers:
                     desc = f"dense ({layer.fan_in} -> {layer.fan_out}, {layer.activation})"
-                    lines.append(f"  {desc:<34s} {layer.n_params} params")
+                    lines.append(f"  {desc:<34s} {layer.weights.size + layer.biases.size} params")
                 lines.append(f"  Total params: {est.net.parameter_count()}")
             else:
                 lines.append(f"{est.name}: linear(slope={est.slope:.4f})")

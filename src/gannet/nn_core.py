@@ -11,6 +11,9 @@ The input projection stays linear regardless of the configured activation:
 a relu there would clamp the network to a constant on half of its input
 domain before any hidden unit sees the data.
 
+Each SubNetwork keeps its parameters in one float64 vector, `params`, that its
+layers view; an Adam step (Kingma & Ba 2015) is one fused update of it.
+
 Spline kernel. A network of exactly one relu hidden layer (the default
 configuration) is a linear spline of u = w1*x + b1: with hidden weights
 a, biases b, output weights v and output bias c,
@@ -32,7 +35,7 @@ temporary. The dense code is also the tests' oracle for the kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,24 +73,37 @@ class DenseLayer:
     def fan_out(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def n_params(self) -> int:
-        return self.weights.size + self.biases.size
-
-    def apply_activation(self, z: np.ndarray) -> np.ndarray:
-        if self.activation == RELU:
-            return np.maximum(z, 0.0)
-        return z
-
 
 @dataclass
 class SubNetwork:
-    """Dense MLP with input width 1 and a single linear output unit."""
+    """Dense MLP with input width 1 and a single linear output unit.
+
+    `params` is the one float64 vector holding every parameter: each
+    layer's weights then biases, in layer order. The layers' `weights` and
+    `biases` are reshaped views of it, so writing either updates the other.
+    """
 
     layers: list[DenseLayer]
+    params: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.params = np.concatenate(
+            [a.ravel() for layer in self.layers for a in (layer.weights, layer.biases)],
+            dtype=np.float64,
+        )
+        offset = 0
+        for layer in self.layers:
+            for name in ("weights", "biases"):
+                arr = getattr(layer, name)
+                setattr(layer, name, self.params[offset:offset + arr.size].reshape(arr.shape))
+                offset += arr.size
+
+    def __deepcopy__(self, memo) -> SubNetwork:
+        # a deep-copied view would own its memory; rebuild the views instead
+        return SubNetwork([replace(layer) for layer in self.layers])
 
     def parameter_count(self) -> int:
-        return sum(layer.n_params for layer in self.layers)
+        return self.params.size
 
 
 def glorot_normal_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -215,7 +231,7 @@ def _forward_cached(net: SubNetwork, x: np.ndarray):
     for layer in net.layers:
         z = a @ layer.weights.T + layer.biases
         pre.append(z)
-        a = layer.apply_activation(z)
+        a = np.maximum(z, 0.0) if layer.activation == RELU else z
         activations.append(a)
     return activations, pre
 
@@ -288,52 +304,40 @@ class AdamState:
     """Adam optimizer state for one subnetwork (bias-corrected updates).
 
     Only the step size is a setting; the decays and the offset are constants.
-    Moments are zero-initialized and have the same shapes as the network
-    parameters; step_count increments by exactly one per apply().
+    The moments are flat vectors like the network's `params`, None until the
+    first apply() zero-fills them. Each apply() adds one to step_count and
+    makes one isfinite scan of the gradient and one of the updated `params`.
     """
 
     beta1, beta2, epsilon = 0.9, 0.999, 1e-7  # the Keras defaults
     learning_rate: float = 0.001
     step_count: int = field(default=0, init=False)
-    first_moment: list = field(default_factory=list, init=False)
-    second_moment: list = field(default_factory=list, init=False)
-
-    def _ensure_moments(self, net: SubNetwork) -> None:
-        if self.first_moment:
-            return
-        for layer in net.layers:
-            self.first_moment.append(
-                (np.zeros_like(layer.weights), np.zeros_like(layer.biases))
-            )
-            self.second_moment.append(
-                (np.zeros_like(layer.weights), np.zeros_like(layer.biases))
-            )
+    first_moment: np.ndarray | None = field(default=None, init=False)
+    second_moment: np.ndarray | None = field(default=None, init=False)
 
     def apply(self, net: SubNetwork, grads, label: str | None = None) -> None:
-        """One Adam update of every parameter from per-layer gradients."""
-        self._ensure_moments(net)
+        """One fused Adam update of net.params from per-layer (weights, biases) gradients.
+
+        A non-finite gradient raises before anything changes.
+        """
+        grad = np.concatenate([g.ravel() for pair in grads for g in pair])
+        where = f" for term {label!r}" if label else ""
+        if not np.all(np.isfinite(grad)):
+            raise NumericInstabilityError(f"non-finite gradient{where}")
+        if self.first_moment is None:
+            self.first_moment, self.second_moment = np.zeros((2, net.params.size))
         self.step_count += 1
-        t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
-        for k, layer in enumerate(net.layers):
-            for which, param, grad in (
-                (0, layer.weights, grads[k][0]),
-                (1, layer.biases, grads[k][1]),
-            ):
-                m = self.first_moment[k][which]
-                v = self.second_moment[k][which]
-                m *= self.beta1
-                m += (1.0 - self.beta1) * grad
-                v *= self.beta2
-                v += (1.0 - self.beta2) * grad * grad
-                param -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
-        for layer in net.layers:
-            if not (np.all(np.isfinite(layer.weights)) and np.all(np.isfinite(layer.biases))):
-                where = f" for term {label!r}" if label else ""
-                raise NumericInstabilityError(
-                    f"non-finite network parameters after Adam update{where}"
-                )
+        bc1, bc2 = 1.0 - self.beta1**self.step_count, 1.0 - self.beta2**self.step_count
+        m, v = self.first_moment, self.second_moment
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        net.params -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+        if not np.all(np.isfinite(net.params)):
+            raise NumericInstabilityError(
+                f"non-finite network parameters after Adam update{where}"
+            )
 
 
 def train_one_epoch(
@@ -371,11 +375,6 @@ def train_one_epoch(
             net, x[idx], target[idx], weights[idx], l2_penalty
         )
         total_sse += wsse
-        if wsum == 0.0:
-            continue
-        for g_w, g_b in grads:
-            if not (np.all(np.isfinite(g_w)) and np.all(np.isfinite(g_b))):
-                where = f" for term {label!r}" if label else ""
-                raise NumericInstabilityError(f"non-finite gradient{where}")
-        adam.apply(net, grads, label=label)
+        if wsum != 0.0:
+            adam.apply(net, grads, label=label)
     return total_sse / total_w

@@ -249,6 +249,24 @@ class TestPredict:
         assert rc == 0
         assert out.read_text().strip() == "prediction"
 
+    def test_out_of_range_rows_warn_in_one_line_each(self, trained, tmp_path, capsys):
+        model_path, _ = trained
+        wide = tmp_path / "wide"
+        assert main(["simulate", "--out-dir", str(wide), "--n", "200",
+                     "--low", "-4", "--high", "4"]) == 0
+        capsys.readouterr()
+        rc = main(
+            [
+                "predict", "--model", str(model_path), "--data", str(wide / "test.csv"),
+                "--out", str(tmp_path / "p.csv"), "--type", "terms",
+            ]
+        )
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "gannet: warning: term 'x1'" in err
+        assert "UserWarning" not in err
+        assert all(line.startswith("gannet: warning: ") for line in err.splitlines())
+
     def test_schema_mismatch_exit_2(self, trained, tmp_path, capsys):
         model_path, _ = trained
         bad = tmp_path / "bad.csv"

@@ -129,6 +129,14 @@ class TestPredict:
         with pytest.warns(UserWarning, match="training range"):
             model.predict(wide, type="link")
 
+    @pytest.mark.parametrize("type", ["link", "terms"])
+    def test_extrapolation_warning_names_the_caller(self, mixed_model_and_data, type):
+        model, _ = mixed_model_and_data
+        wide = Dataset({"x1": np.array([0.0, 9.0]), "x2": np.array([0.0, 0.0])})
+        with pytest.warns(UserWarning, match="training range") as record:
+            model.predict(wide, type=type)
+        assert [w.filename for w in record] == [__file__]
+
     def test_training_predictions_match_recomputation(self, mixed_model_and_data):
         # feeding the training covariates back through the networks agrees
         # with the stored additive predictor

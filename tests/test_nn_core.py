@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from gannet import nn_core
+from gannet.config import FitConfig
+from gannet.data import Dataset
 from gannet.exceptions import DataValidationError, NumericInstabilityError
+from gannet.model import fit, load_model, save_model
 from gannet.nn_core import (
     AdamState,
     DenseLayer,
@@ -62,6 +65,33 @@ def max_relative_error(analytic, numeric):
             denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
             worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
+
+
+class PerLayerAdam(AdamState):
+    """The per-layer Adam loop the fused step replaced: the fused step's oracle."""
+
+    def apply(self, net, grads, label=None):
+        if self.first_moment is None:
+            self.first_moment = [(np.zeros_like(l.weights), np.zeros_like(l.biases))
+                                 for l in net.layers]
+            self.second_moment = [(np.zeros_like(l.weights), np.zeros_like(l.biases))
+                                  for l in net.layers]
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - self.beta1**t
+        bc2 = 1.0 - self.beta2**t
+        for k, layer in enumerate(net.layers):
+            for which, param, grad in (
+                (0, layer.weights, grads[k][0]),
+                (1, layer.biases, grads[k][1]),
+            ):
+                m = self.first_moment[k][which]
+                v = self.second_moment[k][which]
+                m *= self.beta1
+                m += (1.0 - self.beta1) * grad
+                v *= self.beta2
+                v += (1.0 - self.beta2) * grad * grad
+                param -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
 
 
 def dense(fn, *args, **kwargs):
@@ -153,6 +183,61 @@ class TestBuildNetwork:
         net = build_network((16,), "relu", np.random.default_rng(0))
         for layer in net.layers:
             np.testing.assert_array_equal(layer.biases, 0.0)
+
+
+def assert_views_of_own_params(nets):
+    """Every layer array is a view of its own net's params and of no other net's."""
+    for net in nets:
+        assert net.params.dtype == np.float64 and net.params.flags.c_contiguous
+        assert net.params.size == sum(l.weights.size + l.biases.size for l in net.layers)
+        for layer in net.layers:
+            for arr in (layer.weights, layer.biases):
+                for other in nets:
+                    assert np.shares_memory(arr, other.params) == (other is net)
+
+
+class TestParameterVector:
+    def test_layers_are_views_after_build(self):
+        rng = np.random.default_rng(0)
+        assert_views_of_own_params([build_network((8, 8), "relu", rng),
+                                    build_network((16,), "relu", rng)])
+
+    def test_layout_is_weights_then_biases_in_layer_order(self):
+        net = spline_net([1.0, 2.0], [3.0, 4.0], [5.0, 6.0], c=7.0, w1=8.0, b1=9.0)
+        np.testing.assert_array_equal(net.params, [8, 9, 1, 2, 3, 4, 5, 6, 7])
+        assert net.parameter_count() == 9
+
+    def test_layers_are_views_after_deepcopy(self):
+        net = build_network((8, 8), "relu", np.random.default_rng(0))
+        clone = copy.deepcopy(net)
+        assert_views_of_own_params([net, clone])
+        np.testing.assert_array_equal(clone.params, net.params)
+
+    def test_layers_are_views_after_load_model(self, tmp_path):
+        rng = np.random.default_rng(0)
+        data = Dataset({"x1": rng.uniform(-1, 1, 60), "x2": rng.uniform(-1, 1, 60),
+                        "y": rng.normal(size=60)})
+        config = FitConfig(num_units=(4, 3), max_iter_backfitting=1, seed=0, verbose=0)
+        save_model(fit(data, "y ~ s(x1) + s(x2)", config), tmp_path / "m.json")
+        model = load_model(tmp_path / "m.json")
+        assert_views_of_own_params([est.net for est in model.estimators])
+
+    def test_training_a_deep_copy_leaves_the_original(self):
+        net = build_network((8,), "relu", np.random.default_rng(0))
+        original = net.params.copy()
+        clone = copy.deepcopy(net)
+        x = np.linspace(-1, 1, 20)
+        train_one_epoch(clone, x, x**2, np.ones(20), AdamState(0.01), 5, np.random.default_rng(1))
+        assert not np.array_equal(clone.params, original)
+        np.testing.assert_array_equal(net.params, original)
+
+    def test_in_place_layer_write_shows_in_params(self):
+        net = build_network((4,), "relu", np.random.default_rng(0))
+        net.layers[1].weights[2, 0] = 42.0
+        net.layers[2].biases[0] = -7.0
+        assert net.params[2 + 2] == 42.0  # after the input layer's weight and bias
+        assert net.params[-1] == -7.0
+
 
 class TestForward:
     def test_zero_network_outputs_zero(self):
@@ -319,11 +404,55 @@ class TestAdam:
             assert step <= 0.001 * (1.0 + 1e-6)
 
     def test_moments_zero_initialized(self):
-        net = single_layer_net(1.0, 0.0)
+        net = build_network((4,), "relu", np.random.default_rng(0))
         adam = AdamState()
-        adam._ensure_moments(net)
-        assert all(np.all(m == 0) and np.all(v == 0)
-                   for (m, _), (v, _) in zip(adam.first_moment, adam.second_moment))
+        assert adam.first_moment is None and adam.second_moment is None
+        adam.apply(net, [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in net.layers])
+        for moment in (adam.first_moment, adam.second_moment):
+            assert moment.shape == net.params.shape
+            np.testing.assert_array_equal(moment, 0.0)
+
+    @pytest.mark.parametrize("num_units", [(8, 8), (16,)])
+    def test_fused_step_matches_per_layer_loop(self, num_units):
+        net = build_network(num_units, "relu", np.random.default_rng(1))
+        oracle_net = copy.deepcopy(net)
+        adam, oracle = AdamState(learning_rate=0.01), PerLayerAdam(learning_rate=0.01)
+        rng = np.random.default_rng(2)
+        for _ in range(25):
+            grads = [(rng.normal(size=l.weights.shape), rng.normal(size=l.biases.shape))
+                     for l in net.layers]
+            adam.apply(net, grads)
+            oracle.apply(oracle_net, grads)
+        for la, lb in zip(net.layers, oracle_net.layers):
+            np.testing.assert_array_equal(la.weights, lb.weights)
+            np.testing.assert_array_equal(la.biases, lb.biases)
+        assert adam.step_count == oracle.step_count == 25
+
+    @pytest.mark.parametrize("steps_before", [0, 3])
+    def test_non_finite_gradient_changes_nothing(self, steps_before):
+        net = build_network((8,), "relu", np.random.default_rng(0))
+        adam = AdamState(learning_rate=0.01)
+        ones = [(np.ones_like(l.weights), np.ones_like(l.biases)) for l in net.layers]
+        for _ in range(steps_before):
+            adam.apply(net, ones)
+        before = (net.params.copy(), copy.deepcopy(adam.first_moment),
+                  copy.deepcopy(adam.second_moment), adam.step_count)
+        bad = copy.deepcopy(ones)
+        bad[1][0][3, 0] = np.nan
+        with pytest.raises(NumericInstabilityError, match="non-finite gradient for term 'x2'"):
+            adam.apply(net, bad, label="x2")
+        after = (net.params, adam.first_moment, adam.second_moment, adam.step_count)
+        for old, new in zip(before, after):
+            np.testing.assert_array_equal(old, new)
+
+    def test_one_isfinite_scan_of_gradient_and_of_params(self, monkeypatch):
+        net = build_network((8, 8), "relu", np.random.default_rng(0))
+        grads = gradients(net, np.linspace(-1, 1, 5), np.ones(5))
+        scanned = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: scanned.append(np.size(a)) or isfinite(a))
+        AdamState().apply(net, grads)
+        assert scanned == [net.params.size, net.params.size]
 
     def test_validation(self):
         # the step size is the only setting; FitConfig checks its range
