@@ -1,12 +1,13 @@
 """Command-line front end: train, predict, summary, partial-effects, simulate.
 
-The `train` fit flags are generated from FitConfig's fields (dashes for
-underscores), taking type, default and help from the dataclass, so the
-two surfaces cannot disagree. Every error path prints one
-`gannet: error: ...` line to stderr and exits 2 for configuration/input
-problems or 1 for runtime failures. A warning, such as predicting outside
-a term's training range, prints one `gannet: warning: ...` line and leaves
-the exit code alone.
+The `train` fit flags are generated from FitConfig's fields and the
+`simulate` flags from ScenarioSpec's (dashes for underscores), taking
+type, default and help from the dataclass, so a flag and its setting
+cannot disagree; a tuple field takes a comma list. Every error path
+prints one `gannet: error: ...` line to stderr and exits 2 for
+configuration/input problems or 1 for runtime failures. A warning, such
+as predicting outside a term's training range, prints one
+`gannet: warning: ...` line and leaves the exit code alone.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ import argparse
 import logging
 import os
 import sys
+import typing
 import warnings
 from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .config import FIELD_TYPES, FitConfig, unwrap_optional
+from .config import FitConfig, unwrap_optional
 from .data import Dataset, write_csv
 from .exceptions import (
     ConfigError,
@@ -30,16 +32,9 @@ from .exceptions import (
     ModelFileError,
 )
 from .formula import parse_formula
-from .model import fit, load_model, save_model, summarize
+from .model import PREDICT_TYPES, fit, load_model, save_model, summarize
 from .simulation import ScenarioSpec, generate_scenario
 from .svg import line_chart
-
-
-def _parse_num_units(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"--num-units expects integers like '1024' or '256,128', got {text!r}")
 
 
 def _parse_name_list(text: str) -> list[str]:
@@ -49,33 +44,39 @@ def _parse_name_list(text: str) -> list[str]:
     return names
 
 
-def _flag_type(hint) -> type:
-    # `X | None` parses as X; num_units arrives as text and is parsed after
-    # parse_args, because a ConfigError raised inside argparse escapes main
-    hint = unwrap_optional(hint)
-    return hint if hint in (int, float) else str
+def _add_field_flags(p: argparse.ArgumentParser, settings: type) -> None:
+    """One flag per field of a settings dataclass, with its type, default and help.
 
-
-def _add_fit_flags(p: argparse.ArgumentParser) -> None:
-    """One flag per FitConfig field, with its type, default and help."""
-    for f in fields(FitConfig):
-        flag = "--" + f.name.replace("_", "-")
-        help_text = f.metadata.get("help")
+    `X | None` parses as X; a tuple field arrives as text and is split by
+    `_from_args`, because a ConfigError raised inside argparse escapes main.
+    """
+    hints = typing.get_type_hints(settings)
+    for f in fields(settings):
+        flag, kind = "--" + f.name.replace("_", "-"), unwrap_optional(hints[f.name])
         if f.default is MISSING:
-            p.add_argument(flag, required=True, help=help_text)
+            p.add_argument(flag, required=True, help=f.metadata["help"])
         else:
-            p.add_argument(flag, type=_flag_type(FIELD_TYPES[f.name]), default=f.default,
-                           help=help_text)
+            p.add_argument(flag, type=kind if kind in (int, float) else str, default=f.default,
+                           help=f.metadata["help"])
 
 
-def _config_from_args(args) -> FitConfig:
-    values = {f.name: getattr(args, f.name) for f in fields(FitConfig)}
-    values["num_units"] = _parse_num_units(values["num_units"])
-    return FitConfig(**values)
+def _from_args(settings: type, args):
+    """The settings dataclass built from its flags; a tuple field takes a comma list."""
+    values = {f.name: getattr(args, f.name) for f in fields(settings)}
+    for name, hint in typing.get_type_hints(settings).items():
+        text = values[name]
+        # a tuple field given on the command line is still text; its default is a tuple
+        if typing.get_origin(hint) is tuple and isinstance(text, str):
+            item = typing.get_args(hint)[0]
+            try:
+                values[name] = tuple(item(tok.strip()) for tok in text.split(",") if tok.strip())
+            except ValueError:
+                raise ConfigError(f"{name} expects a comma list of {item.__name__}, got {text!r}")
+    return settings(**values)
 
 
 def cmd_train(args) -> int:
-    config = _config_from_args(args)
+    config = _from_args(FitConfig, args)
     formula = parse_formula(args.formula)
     needed = [formula.response, *formula.term_names]
     if config.w_train is not None:
@@ -155,17 +156,7 @@ def cmd_partial_effects(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec = ScenarioSpec(
-        n=args.n,
-        covariate_low=args.low,
-        covariate_high=args.high,
-        true_functions=tuple(_parse_name_list(args.functions)),
-        alpha0=args.alpha,
-        noise_mean=args.noise_mean,
-        noise_sd=args.noise_sd,
-        train_fraction=args.train_fraction,
-        seed=args.seed,
-    )
+    spec = _from_args(ScenarioSpec, args)
     train, test, fs_train, fs_test = generate_scenario(spec)
     os.makedirs(args.out_dir, exist_ok=True)
     train.to_csv(os.path.join(args.out_dir, "train.csv"))
@@ -188,14 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True, help='e.g. "y ~ s(x1) + x2"')
     p.add_argument("--model-out", required=True, help="path for the model file")
     p.add_argument("--history-out", default=None, help="optional training-history CSV")
-    _add_fit_flags(p)
+    _add_field_flags(p, FitConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict from a saved model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="CSV of new covariate values")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--type", default="link", choices=("link", "response", "terms"))
+    p.add_argument("--type", default="link", choices=PREDICT_TYPES)
     p.add_argument("--terms", default=None, help="comma list for type=terms")
     p.set_defaults(func=cmd_predict)
 
@@ -215,15 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate the synthetic benchmark data")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--n", type=int, default=30625)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--low", type=float, default=-2.5)
-    p.add_argument("--high", type=float, default=2.5)
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--noise-mean", type=float, default=0.25)
-    p.add_argument("--noise-sd", type=float, default=1.0)
-    p.add_argument("--functions", default="square,double,sine")
+    _add_field_flags(p, ScenarioSpec)
     p.set_defaults(func=cmd_simulate)
     return parser
 

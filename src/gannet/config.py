@@ -1,8 +1,8 @@
-"""Fit configuration: every user-facing setting, defined and checked in one place.
+"""Settings dataclasses: every user-facing setting, defined and checked in one place.
 
-The `train` CLI flags (name, type, default and help) and the type checks
-are both read from this dataclass, so no code elsewhere restates or
-re-checks a setting.
+FitConfig here and ScenarioSpec in simulation.py declare each setting as
+a typed `_knob` field with default and help; `check_types` checks every
+field against its type hint and the CLI generates flags from the fields.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import types
 import typing
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field
 from numbers import Integral, Real
 
 from .exceptions import ConfigError
@@ -29,14 +29,16 @@ def unwrap_optional(hint):
     return hint
 
 
-def _is(value, kind) -> bool:
-    # bool is an Integral too, but never a meaningful count, width or rate
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 # what each field type accepts, numpy numbers included, and its name in errors
 _ACCEPTS = {int: (Integral, "an integer"), float: (Real, "a finite real number"),
             str: (str, "a string")}
+
+
+def _fits(value, base) -> bool:
+    kind = _ACCEPTS[base][0]
+    # bool is an Integral too, but never a meaningful count, width or rate
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and (base is not float or math.isfinite(value)))
 
 
 def _typed(name: str, value, hint):
@@ -44,15 +46,21 @@ def _typed(name: str, value, hint):
     base = unwrap_optional(hint)
     if value is None and base is not hint:
         return None
-    if typing.get_origin(base) is tuple:  # num_units: an integer, or a list or tuple of them
-        items = (value,) if _is(value, Integral) else value
-        if isinstance(items, (list, tuple)) and all(_is(u, Integral) for u in items):
-            return tuple(int(u) for u in items)
-        raise ConfigError(f"{name} must be an integer or a sequence of integers, got {value!r}")
-    kind, expected = _ACCEPTS[base]
-    if _is(value, kind) and (base is not float or math.isfinite(value)):
+    if typing.get_origin(base) is tuple:  # one item, or a list or tuple of items
+        item = typing.get_args(base)[0]
+        items = value if isinstance(value, (list, tuple)) else (value,)
+        if all(_fits(u, item) for u in items):
+            return tuple(item(u) for u in items)
+        raise ConfigError(f"{name} must be {_ACCEPTS[item][1]} or a list of them, got {value!r}")
+    if _fits(value, base):
         return base(value)
-    raise ConfigError(f"{name} must be {expected}, got {value!r}")
+    raise ConfigError(f"{name} must be {_ACCEPTS[base][1]}, got {value!r}")
+
+
+def check_types(settings) -> None:
+    """Replace each field of a settings dataclass by `_typed` of its value."""
+    for name, hint in typing.get_type_hints(type(settings)).items():
+        setattr(settings, name, _typed(name, getattr(settings, name), hint))
 
 
 @dataclass
@@ -81,8 +89,7 @@ class FitConfig:
     verbose: int = _knob(1, "1 prints one line per local-scoring iteration, 0 nothing")
 
     def __post_init__(self):
-        for f in fields(self):
-            setattr(self, f.name, _typed(f.name, getattr(self, f.name), FIELD_TYPES[f.name]))
+        check_types(self)
         if not self.num_units or min(self.num_units) < 1:
             raise ConfigError("num_units must be positive integer(s)")
         if self.family not in FAMILY_NAMES:
@@ -101,7 +108,3 @@ class FitConfig:
             raise ConfigError("seed must be a nonnegative integer")
         if self.verbose not in (0, 1):
             raise ConfigError("verbose must be 0 or 1")
-
-
-# each field's resolved type hint; the type checks and the CLI flags read it
-FIELD_TYPES = typing.get_type_hints(FitConfig)

@@ -109,11 +109,15 @@ class FittedModel:
         return self.family.inverse_link(eta)
 
     def term_subset(self, terms=None) -> list[str]:
-        """The requested term names (default: all); an unknown name raises DataValidationError."""
+        """The requested term names (default: all); unknown or repeated ones raise
+        DataValidationError."""
         names = list(self.terms) if terms is None else list(terms)
         unknown = [t for t in names if t not in self.terms]
         if unknown:
             raise DataValidationError(f"unknown term(s): {', '.join(unknown)}")
+        repeated = dict.fromkeys(t for t in names if names.count(t) > 1)
+        if repeated:
+            raise DataValidationError(f"repeated term(s): {', '.join(repeated)}")
         return names
 
     def _term_column(self, name: str, newdata: Dataset | None) -> np.ndarray:

@@ -9,15 +9,18 @@ Randomness comes from numpy's PCG64 with explicit stream splitting: the
 generator for purpose k under seed s is ``default_rng([s, <tag>, k])``,
 so every column has its own named stream and the same seed reproduces
 identical datasets on any platform.
+
+ScenarioSpec is a settings dataclass like FitConfig: `gannet simulate`
+builds its flags from the fields, and config.check_types checks them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _knob, check_types
 from .data import Dataset
 from .exceptions import ConfigError
 
@@ -35,33 +38,32 @@ TRUE_FUNCTIONS = {
 
 @dataclass
 class ScenarioSpec:
-    """Configuration of the simulated additive-Gaussian scenario."""
+    """Settings of the simulated additive-Gaussian scenario, one true
+    function and one covariate per entry of `true_functions`."""
 
-    n: int = 30625
-    covariate_low: float = -2.5
-    covariate_high: float = 2.5
-    true_functions: tuple[str, ...] = ("square", "double", "sine")
-    alpha0: float = 2.0
-    noise_mean: float = 0.25
-    noise_sd: float = 1.0
-    train_fraction: float = 0.8
-    seed: int = 42
+    n: int = _knob(30625, "rows before the train/test split")
+    covariate_low: float = _knob(-2.5, "lower end of the uniform covariate range")
+    covariate_high: float = _knob(2.5, "upper end of the uniform covariate range")
+    true_functions: tuple[str, ...] = _knob(
+        ("square", "double", "sine"),
+        f"true components, one covariate each: {', '.join(TRUE_FUNCTIONS)}")
+    alpha0: float = _knob(2.0, "true intercept")
+    noise_mean: float = _knob(0.25, "mean of the Gaussian noise")
+    noise_sd: float = _knob(1.0, "standard deviation of the Gaussian noise")
+    train_fraction: float = _knob(0.8, "expected share of rows in the training set")
+    seed: int = _knob(42, "seed of every random stream")
 
     def __post_init__(self):
-        for name in ("covariate_low", "covariate_high", "alpha0", "noise_mean", "noise_sd"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+        check_types(self)
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         if self.n < 2:
             raise ConfigError("scenario n must be >= 2")
         if not self.covariate_low < self.covariate_high:
             raise ConfigError("covariate range must be non-empty")
-        unknown = [f for f in self.true_functions if f not in TRUE_FUNCTIONS]
-        if unknown:
-            raise ConfigError(
-                f"unknown true function(s) {unknown}; choose from {sorted(TRUE_FUNCTIONS)}"
-            )
+        if not self.true_functions or not set(self.true_functions) <= TRUE_FUNCTIONS.keys():
+            raise ConfigError(f"true_functions must name one or more of "
+                              f"{sorted(TRUE_FUNCTIONS)}, got {self.true_functions!r}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must lie in (0, 1)")
         if self.noise_sd < 0:

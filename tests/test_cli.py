@@ -56,11 +56,11 @@ class TestFlagDefaults:
                 assert getattr(args, f.name) == f.default, f.name
 
     def test_default_flags_build_the_default_config(self):
-        from gannet.cli import _config_from_args, build_parser
+        from gannet.cli import _from_args, build_parser
         from gannet.config import FitConfig
 
         args = build_parser().parse_args(self.ARGV)
-        assert _config_from_args(args) == FitConfig(num_units=(8,))
+        assert _from_args(FitConfig, args) == FitConfig(num_units=(8,))
 
     def test_negative_seed_exit_2(self, capsys):
         # rejected by the config, before the (absent) data file is read
@@ -73,6 +73,62 @@ class TestFlagDefaults:
             main([*self.ARGV, flag, "0.5"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestSimulateFlagDefaults:
+    ARGV = ["simulate", "--out-dir", "d"]
+
+    def test_one_flag_per_scenario_field(self):
+        import argparse
+        from dataclasses import fields
+
+        from gannet.cli import build_parser
+        from gannet.simulation import ScenarioSpec
+
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {a.dest: a.option_strings for a in sub.choices["simulate"]._actions}
+        names = {f.name for f in fields(ScenarioSpec)}
+        assert set(options) == names | {"help", "out_dir"}
+        for name in names:
+            assert options[name] == ["--" + name.replace("_", "-")]
+
+    def test_simulate_flags_match_scenario_defaults(self):
+        from dataclasses import fields
+
+        from gannet.cli import build_parser
+        from gannet.simulation import ScenarioSpec
+
+        args = build_parser().parse_args(self.ARGV)
+        for f in fields(ScenarioSpec):
+            assert getattr(args, f.name) == f.default, f.name
+
+    def test_default_flags_build_the_default_scenario(self):
+        from gannet.cli import _from_args, build_parser
+        from gannet.simulation import ScenarioSpec
+
+        args = build_parser().parse_args(self.ARGV)
+        assert _from_args(ScenarioSpec, args) == ScenarioSpec()
+
+    def test_true_functions_comma_list(self):
+        from gannet.cli import _from_args, build_parser
+        from gannet.simulation import ScenarioSpec
+
+        args = build_parser().parse_args([*self.ARGV, "--true-functions", "sine, square"])
+        assert _from_args(ScenarioSpec, args).true_functions == ("sine", "square")
+
+    @pytest.mark.parametrize("flag", ["--low", "--high", "--functions"])
+    def test_old_flag_names_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.ARGV, flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_empty_true_functions_exit_2(self, tmp_path, capsys):
+        d = tmp_path / "none"
+        assert main(["simulate", "--out-dir", str(d), "--true-functions", ""]) == 2
+        assert "true_functions" in capsys.readouterr().err
+        assert not d.exists()
 
 
 class TestSimulate:
@@ -102,7 +158,8 @@ class TestSimulate:
         assert n == 100
 
     @pytest.mark.parametrize("flag,value", [
-        ("--high", "inf"), ("--seed", "-1"), ("--noise-sd", "nan"), ("--alpha", "nan"),
+        ("--covariate-high", "inf"), ("--seed", "-1"), ("--noise-sd", "nan"),
+        ("--alpha0", "nan"),
     ])
     def test_bad_scenario_exit_2(self, tmp_path, capsys, flag, value):
         d = tmp_path / "bad"
@@ -253,7 +310,7 @@ class TestPredict:
         model_path, _ = trained
         wide = tmp_path / "wide"
         assert main(["simulate", "--out-dir", str(wide), "--n", "200",
-                     "--low", "-4", "--high", "4"]) == 0
+                     "--covariate-low", "-4", "--covariate-high", "4"]) == 0
         capsys.readouterr()
         rc = main(
             [
@@ -306,6 +363,21 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "unknown term(s): bogus" in err
         assert "missing" not in err
+
+
+    def test_repeated_term_exit_2(self, trained, sim_dir, tmp_path, capsys):
+        model_path, _ = trained
+        out = tmp_path / "p.csv"
+        rc = main(
+            [
+                "predict", "--model", str(model_path),
+                "--data", str(sim_dir / "test.csv"), "--out", str(out),
+                "--type", "terms", "--terms", "x1,x1",
+            ]
+        )
+        assert rc == 2
+        assert "repeated term(s): x1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSummary:
@@ -364,3 +436,16 @@ class TestPartialEffects:
         )
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_repeated_term_exit_2(self, trained, tmp_path, capsys):
+        model_path, _ = trained
+        out = tmp_path / "pe.csv"
+        rc = main(
+            [
+                "partial-effects", "--model", str(model_path),
+                "--out", str(out), "--terms", "x1,x1",
+            ]
+        )
+        assert rc == 2
+        assert "repeated term(s): x1" in capsys.readouterr().err
+        assert not out.exists()

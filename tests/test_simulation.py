@@ -81,6 +81,31 @@ class TestScenario:
         with pytest.raises(ConfigError, match=field):
             ScenarioSpec(**{field: value})
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"n": 2.5}, "n must be an integer"),
+        ({"n": True}, "n must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"covariate_low": "a"}, "covariate_low must be a finite real number"),
+        ({"train_fraction": "0.5"}, "train_fraction must be a finite real number"),
+        ({"true_functions": ("sine", 3)}, "true_functions must be a string"),
+        ({"true_functions": ()}, "true_functions must name one or more of"),
+    ], ids=repr)
+    def test_wrong_type_or_empty_rejected(self, kwargs, message):
+        # a ConfigError naming the setting, never a numpy TypeError later on
+        with pytest.raises(ConfigError, match=message):
+            ScenarioSpec(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        spec = ScenarioSpec(n=np.int64(100), seed=np.int64(3))
+        assert (spec.n, spec.seed) == (100, 3)
+        assert type(spec.n) is int and type(spec.seed) is int
+
+    def test_single_true_function_name(self):
+        spec = ScenarioSpec(n=50, true_functions="sine")
+        assert spec.true_functions == ("sine",)
+        train, *_ = generate_scenario(spec)
+        assert train.names() == ["x1", "y"]
+
 
 class TestBinomialFixture:
     def test_probability_at_origin(self):
