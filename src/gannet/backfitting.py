@@ -180,8 +180,9 @@ class BackfitState:
     """Mutable state threaded through backfitting sweeps.
 
     One instance persists across local-scoring iterations so the
-    subnetworks warm-start. Per-call records (losses, ratios, snapshots)
-    are overwritten by each backfit() call.
+    subnetworks warm-start. Each backfit() call starts fresh per-call
+    records (losses, timestamps, ratios, snapshot), never clearing the
+    old ones in place: the previous iteration's record still holds them.
     """
 
     alpha: float
@@ -189,7 +190,7 @@ class BackfitState:
     sweep_count: int = 0
     converged: bool = False
     ratio_history: list = field(default_factory=list)
-    sweep_losses: list = field(default_factory=list)  # per sweep: {term: loss}
+    term_losses: dict = field(default_factory=dict)  # per term: one loss a sweep
     sweep_timestamps: list = field(default_factory=list)
     prev_snapshot: list | None = None  # term fits before the last sweep
 
@@ -212,25 +213,24 @@ def backfit(
     The intercept state.alpha is held fixed throughout; the caller sets it
     per local-scoring iteration. The first sweep from the all-zero state
     has a zero denominator, so its criterion is skipped and at least one
-    full fitting pass always happens.
+    full fitting pass always happens. Each term's training loss is
+    appended to state.term_losses[name] where it is measured.
     """
     state.sweep_count = 0
     state.converged = False
     state.ratio_history = []
-    state.sweep_losses = []
+    state.term_losses = {est.name: [] for est in state.estimators}
     state.sweep_timestamps = []
     state.prev_snapshot = None
 
     for _ in range(config.max_iter_backfitting):
         prev = [est.fitted_values.copy() for est in state.estimators]
-        losses: dict[str, float] = {}
         for j, est in enumerate(state.estimators):
             r = partial_residuals(z, state.alpha, state.estimators, j)
-            losses[est.name] = est.fit(covariates[est.name], r, w, config)
+            state.term_losses[est.name].append(est.fit(covariates[est.name], r, w, config))
             center_term(est)
         state.sweep_count += 1
         state.prev_snapshot = prev
-        state.sweep_losses.append(losses)
         state.sweep_timestamps.append(_dt.datetime.now())
         ratio = fitted_change_ratio(prev, [e.fitted_values for e in state.estimators])
         state.ratio_history.append(ratio)

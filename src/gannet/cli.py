@@ -85,17 +85,9 @@ def cmd_train(args) -> int:
     model = fit(data, formula, config)
     save_model(model, args.model_out)
     if args.history_out:
-        rows = model.trace.history_rows()
-        write_csv(
-            args.history_out,
-            ["timestamp", "model", "epoch", "train_loss"],
-            [
-                [ts.strftime("%Y-%m-%d %H:%M:%S") if ts else "" for ts, *_ in rows],
-                [term for _, term, *_ in rows],
-                [str(epoch) for *_, epoch, _ in rows],
-                [loss for *_, loss in rows],
-            ],
-        )
+        stamps, terms, epochs, losses = zip(*model.trace.history_rows())
+        write_csv(args.history_out, ["timestamp", "model", "epoch", "train_loss"],
+                  [stamps, terms, [str(epoch) for epoch in epochs], losses])
     print(model)
     return 0
 
@@ -171,10 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gannet",
         description="fit and inspect interpretable additive neural models",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="fit a model from a CSV file")
+    p = sub.add_parser("train", help="fit a model from a CSV file", allow_abbrev=False)
     p.add_argument("--data", required=True, help="training CSV with a header row")
     p.add_argument("--formula", required=True, help='e.g. "y ~ s(x1) + x2"')
     p.add_argument("--model-out", required=True, help="path for the model file")
@@ -182,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_flags(p, FitConfig)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="predict from a saved model")
+    p = sub.add_parser("predict", help="predict from a saved model", allow_abbrev=False)
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="CSV of new covariate values")
     p.add_argument("--out", required=True, help="output CSV path")
@@ -190,11 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", default=None, help="comma list for type=terms")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("summary", help="print the summary of a saved model")
+    p = sub.add_parser("summary", help="print the summary of a saved model", allow_abbrev=False)
     p.add_argument("--model", required=True)
     p.set_defaults(func=cmd_summary)
 
-    p = sub.add_parser("partial-effects", help="export fitted per-term curves")
+    p = sub.add_parser("partial-effects", help="export fitted per-term curves",
+                       allow_abbrev=False)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="output CSV (term,x,f_hat)")
     p.add_argument("--terms", default=None, help="comma list (default: all terms)")
@@ -204,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg-dir", default=None, help="also write one SVG chart per term")
     p.set_defaults(func=cmd_partial_effects)
 
-    p = sub.add_parser("simulate", help="generate the synthetic benchmark data")
+    p = sub.add_parser("simulate", help="generate the synthetic benchmark data",
+                       allow_abbrev=False)
     p.add_argument("--out-dir", required=True)
     _add_field_flags(p, ScenarioSpec)
     p.set_defaults(func=cmd_simulate)

@@ -110,8 +110,8 @@ class Dataset:
                 for col, pos in zip(keep, positions):
                     cell = row[pos].strip()
                     if cell.lower() in _MISSING:
-                        ok = False
-                        break
+                        ok = False  # drop the row, but still check its other cells
+                        continue
                     try:
                         parsed.append(float(cell))
                     except ValueError:

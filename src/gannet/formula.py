@@ -18,6 +18,9 @@ LINEAR = "linear"
 
 # Letters, digits, underscore and dot; no leading digit.
 _IDENT_RE = re.compile(r"[A-Za-z_.][A-Za-z0-9_.]*")
+_RESPONSE_RE = re.compile(rf"\s*({_IDENT_RE.pattern})\s*")
+# s(name) is a smooth term (group 1), a bare name a linear one (group 2)
+_TERM_RE = re.compile(rf"\s*(?:s\s*\(\s*({_IDENT_RE.pattern})\s*\)|({_IDENT_RE.pattern}))\s*")
 
 
 @dataclass(frozen=True)
@@ -55,71 +58,31 @@ class Formula:
         return format_formula(self)
 
 
-def _skip_ws(src: str, i: int) -> int:
-    while i < len(src) and src[i].isspace():
-        i += 1
-    return i
-
-
-def _read_ident(src: str, i: int, what: str) -> tuple[str, int]:
-    i = _skip_ws(src, i)
-    m = _IDENT_RE.match(src, i)
-    if not m:
-        if i < len(src) and (src[i].isalnum() or src[i] in "_."):
-            raise FormulaError(f"illegal {what} identifier", i)
-        raise FormulaError(f"expected {what} identifier", i)
-    end = m.end()
-    # reject things like "1x" being split into "1" + "x"
-    if end < len(src) and (src[end].isalnum() or src[end] in "_."):
-        raise FormulaError(f"illegal {what} identifier", i)
-    return m.group(0), end
+def _fullmatch(pattern: re.Pattern, piece: str, start: int, what: str) -> re.Match:
+    m = pattern.fullmatch(piece)
+    if m is None:
+        raise FormulaError(f"malformed {what} {piece.strip()!r}", start)
+    return m
 
 
 def parse_formula(src: str) -> Formula:
     """Parse a formula string into a :class:`Formula`.
 
-    Raises :class:`FormulaError` with a character position on any syntax
-    problem: missing ``~``, empty or duplicate terms, unclosed ``s(``,
-    or identifiers with illegal characters.
+    The text splits on ``~`` and the terms on ``+``; a piece that is not
+    a name (or, for a term, ``s(name)``) raises :class:`FormulaError`
+    naming it, positioned at its first character.
     """
-    if not src or not src.strip():
-        raise FormulaError("empty formula", 0)
-    tilde = src.find("~")
-    if tilde < 0:
-        raise FormulaError("formula must contain '~'", len(src))
-    if src.find("~", tilde + 1) >= 0:
-        raise FormulaError("formula must contain exactly one '~'",
-                           src.find("~", tilde + 1))
-
-    response, i = _read_ident(src[:tilde], 0, "response")
-    i = _skip_ws(src[:tilde], i)
-    if i != tilde:
-        raise FormulaError("unexpected text after response", i)
-
-    terms: list[Term] = []
-    i = tilde + 1
-    while True:
-        i = _skip_ws(src, i)
-        if i >= len(src) or src[i] == "+":
-            raise FormulaError("empty term", i)
-        name, i = _read_ident(src, i, "term")
-        i = _skip_ws(src, i)
-        if name == "s" and i < len(src) and src[i] == "(":
-            arg, i = _read_ident(src, i + 1, "smooth-term")
-            i = _skip_ws(src, i)
-            if i >= len(src) or src[i] != ")":
-                raise FormulaError("unclosed 's(' in formula", i)
-            i += 1
-            terms.append(Term(arg, SMOOTH))
-        else:
-            terms.append(Term(name, LINEAR))
-        i = _skip_ws(src, i)
-        if i >= len(src):
-            break
-        if src[i] != "+":
-            raise FormulaError(f"expected '+' between terms, got {src[i]!r}", i)
-        i += 1
-
+    sides = src.split("~")
+    if len(sides) != 2:
+        # the end of the text when '~' is missing, else the second '~'
+        raise FormulaError("formula must contain exactly one '~'", len("~".join(sides[:2])))
+    response = _fullmatch(_RESPONSE_RE, sides[0], 0, "response")[1]
+    terms = []
+    start = len(sides[0]) + 1
+    for piece in sides[1].split("+"):
+        m = _fullmatch(_TERM_RE, piece, start, "term")
+        terms.append(Term(m[1], SMOOTH) if m[1] else Term(m[2], LINEAR))
+        start += len(piece) + 1
     return Formula(response, tuple(terms))
 
 

@@ -5,12 +5,14 @@ working response and weights from the family tables, re-estimates the
 intercept as the weighted mean of the working response, and delegates the
 additive fit to backfitting. Convergence is judged by the relative drop
 in deviance; the identity-link Gaussian case needs no relinearization, so
-it runs exactly one iteration.
+it runs exactly one iteration. An iteration's record keeps backfitting's
+loss lists and timestamps as written; `history_rows` is their one reader.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +26,9 @@ from .formula import Formula
 
 @dataclass
 class IterationRecord:
-    """One local-scoring iteration: deviance bookkeeping plus the per-sweep
-    training losses of every term (one entry per backfitting sweep)."""
+    """One local-scoring iteration: deviance bookkeeping, backfitting's
+    {term: one loss a sweep} record in formula order, and one timestamp a
+    sweep (none for a loaded model)."""
 
     iteration: int
     deviance: float
@@ -43,19 +46,19 @@ class IterationRecord:
 class LocalScoringTrace:
     iterations: list[IterationRecord] = field(default_factory=list)
 
-    def history_rows(self):
-        """Flat (timestamp, term, epoch, loss) rows; the epoch counter runs
-        across sweeps of all local-scoring iterations, one epoch per sweep."""
+    def history_rows(self) -> list[tuple[str, str, int, float]]:
+        """(timestamp text or "", term, epoch, loss) rows, as printed and saved;
+        the epoch counter runs across the sweeps of all iterations, one epoch
+        a sweep, terms in record order within it."""
         rows = []
         epoch = 0
         for rec in self.iterations:
-            n_sweeps = max((len(v) for v in rec.per_term_epoch_losses.values()), default=0)
-            for m in range(n_sweeps):
-                ts = rec.timestamps[m] if m < len(rec.timestamps) else None
-                for term, losses in rec.per_term_epoch_losses.items():
-                    if m < len(losses):
-                        rows.append((ts, term, epoch + m + 1, losses[m]))
-            epoch += n_sweeps
+            stamps = [ts.strftime("%Y-%m-%d %H:%M:%S") for ts in rec.timestamps]
+            sweeps = zip(*rec.per_term_epoch_losses.values())
+            for stamp, losses in zip(stamps or itertools.repeat(""), sweeps):
+                epoch += 1
+                rows += [(stamp, term, epoch, loss)
+                         for term, loss in zip(rec.per_term_epoch_losses, losses)]
         return rows
 
 
@@ -129,8 +132,8 @@ def local_scoring(
                 iteration=l,
                 deviance=dev,
                 deviance_ratio=ratio,
-                per_term_epoch_losses=_transpose_losses(state),
-                timestamps=list(state.sweep_timestamps),
+                per_term_epoch_losses=state.term_losses,
+                timestamps=state.sweep_timestamps,
                 eta=eta,
                 mu=mu,
                 z=z,
@@ -147,11 +150,3 @@ def local_scoring(
         if ratio < config.ls_threshold:
             break
     return state, trace
-
-
-def _transpose_losses(state: BackfitState) -> dict[str, list[float]]:
-    per_term: dict[str, list[float]] = {est.name: [] for est in state.estimators}
-    for sweep in state.sweep_losses:
-        for term, loss in sweep.items():
-            per_term[term].append(loss)
-    return per_term

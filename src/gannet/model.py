@@ -178,18 +178,11 @@ def summarize(model: FittedModel) -> str:
     """Full text summary: header, training history, per-term architecture."""
     out = [str(model), "", "Training History:", ""]
     rows = model.trace.history_rows()
-    have_ts = any(ts is not None for ts, *_ in rows)
-    if have_ts:
-        out.append(f"  {'Timestamp':<20s} {'Model':<10s} {'Epoch':>5s} {'TrainLoss':>12s}")
-    else:
-        out.append(f"  {'Model':<10s} {'Epoch':>5s} {'TrainLoss':>12s}")
-    for ts, term, epoch, loss in rows:
-        cells = f"{term:<10s} {epoch:>5d} {loss:>12.4f}"
-        if have_ts:
-            stamp = ts.strftime("%Y-%m-%d %H:%M:%S") if ts is not None else ""
-            out.append(f"  {stamp:<20s} {cells}")
-        else:
-            out.append(f"  {cells}")
+    table = [("Timestamp", f"{'Model':<10s} {'Epoch':>5s} {'TrainLoss':>12s}")]
+    table += [(stamp, f"{term:<10s} {epoch:>5d} {loss:>12.4f}")
+              for stamp, term, epoch, loss in rows]
+    stamped = any(stamp for stamp, *_ in rows)
+    out += [f"  {stamp:<20s} {cells}" if stamped else f"  {cells}" for stamp, cells in table]
     out += ["", "Model architecture:", ""]
     out += model.architecture_lines()
     return "\n".join(out)

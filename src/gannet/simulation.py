@@ -70,6 +70,12 @@ class ScenarioSpec:
             raise ConfigError("noise_sd must be nonnegative")
 
 
+def _covariate(spec: ScenarioSpec, index: int) -> np.ndarray:
+    """Covariate `index` on the full sample: the data's and the centering's one draw."""
+    rng = np.random.default_rng([spec.seed, _COVARIATE_STREAM, index])
+    return rng.uniform(spec.covariate_low, spec.covariate_high, size=spec.n)
+
+
 def generate_scenario(spec: ScenarioSpec):
     """Generate (train, test, true_terms_train, true_terms_test).
 
@@ -85,10 +91,8 @@ def generate_scenario(spec: ScenarioSpec):
     covs = {}
     fs = {}
     for j, (name, fname) in enumerate(zip(names, spec.true_functions)):
-        rng = np.random.default_rng([spec.seed, _COVARIATE_STREAM, j])
-        x = rng.uniform(spec.covariate_low, spec.covariate_high, size=spec.n)
-        f = TRUE_FUNCTIONS[fname](x)
-        covs[name] = x
+        covs[name] = _covariate(spec, j)
+        f = TRUE_FUNCTIONS[fname](covs[name])
         fs[name] = f - np.mean(f)
 
     noise_rng = np.random.default_rng([spec.seed, _NOISE_STREAM, 0])
@@ -118,10 +122,8 @@ def generate_scenario(spec: ScenarioSpec):
 def true_centered_component(spec: ScenarioSpec, index: int, grid: np.ndarray) -> np.ndarray:
     """Evaluate true component `index` on a grid, centered the same way the
     generator centered it (by the full-sample mean under the same seed)."""
-    rng = np.random.default_rng([spec.seed, _COVARIATE_STREAM, index])
-    x = rng.uniform(spec.covariate_low, spec.covariate_high, size=spec.n)
     fn = TRUE_FUNCTIONS[spec.true_functions[index]]
-    return fn(np.asarray(grid, dtype=np.float64)) - np.mean(fn(x))
+    return fn(np.asarray(grid, dtype=np.float64)) - np.mean(fn(_covariate(spec, index)))
 
 
 def generate_binomial_fixture(n: int, seed: int) -> Dataset:

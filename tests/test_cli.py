@@ -67,7 +67,8 @@ class TestFlagDefaults:
         assert main([*self.ARGV, "--seed", "-1"]) == 2
         assert "seed must be a nonnegative integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--beta1", "--beta2", "--epsilon", "--mu-clamp"])
+    # "--num" would be a prefix of --num-units if argparse read abbreviations
+    @pytest.mark.parametrize("flag", ["--beta1", "--beta2", "--epsilon", "--mu-clamp", "--num"])
     def test_engine_constants_have_no_flag(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main([*self.ARGV, flag, "0.5"])
@@ -117,7 +118,8 @@ class TestSimulateFlagDefaults:
         args = build_parser().parse_args([*self.ARGV, "--true-functions", "sine, square"])
         assert _from_args(ScenarioSpec, args).true_functions == ("sine", "square")
 
-    @pytest.mark.parametrize("flag", ["--low", "--high", "--functions"])
+    # "--alpha" would be a prefix of --alpha0 if argparse read abbreviations
+    @pytest.mark.parametrize("flag", ["--low", "--high", "--functions", "--alpha"])
     def test_old_flag_names_rejected(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main([*self.ARGV, flag, "1"])

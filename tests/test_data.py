@@ -68,6 +68,11 @@ class TestCsvRoundTrip:
         path.write_text("a,b\n1,fish\n")
         with pytest.raises(DataValidationError, match="fish"):
             Dataset.from_csv(path)
+        # a missing marker earlier in the row does not hide the bad token
+        path.write_text("a,b\n1,2\nNA,abc\n")
+        with pytest.raises(DataValidationError,
+                           match=r":3: non-numeric value 'abc' in column 'b'"):
+            Dataset.from_csv(path)
 
     def test_header_only_gives_empty_dataset(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -74,6 +74,21 @@ class TestParseErrors:
             parse_formula("y ~ s(x")
         assert exc.value.position is not None
         assert "position" in str(exc.value)
+        # a malformed piece is named and positioned at its first character
+        for src, position, piece in [
+            ("y ~ x + s(z", 7, "s(z"),
+            ("y ~ 1x", 3, "1x"),
+            ("y(1) ~ x", 0, "y(1)"),
+        ]:
+            with pytest.raises(FormulaError) as exc:
+                parse_formula(src)
+            assert exc.value.position == position
+            assert repr(piece) in str(exc.value)
+        # a missing '~' is placed at the end of the text, a second one where it stands
+        for src, position in [("y s(x)", 6), ("y ~ x ~ z", 6)]:
+            with pytest.raises(FormulaError) as exc:
+                parse_formula(src)
+            assert exc.value.position == position
 
 
 class TestFormat:

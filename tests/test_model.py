@@ -269,6 +269,87 @@ class TestSerialization:
         assert "Timestamp" not in text
 
 
+class TestHistoryShape:
+    """The history of a binomial fit, 2 iterations of 2 sweeps over a smooth
+    and a linear term, as rows, as a loaded model reads it and as the CSV
+    `gannet train --history-out` writes."""
+
+    FLAGS = dict(family="binomial", num_units=(8,), max_iter_ls=2, max_iter_backfitting=2,
+                 bf_threshold=1e-12, ls_threshold=1e-12)
+    TERMS = ("x", "b")  # formula order, not alphabetical
+
+    @pytest.fixture(scope="class")
+    def csv_path(self, tmp_path_factory):
+        from gannet.simulation import generate_binomial_fixture
+
+        fixture = generate_binomial_fixture(400, seed=13)
+        b = np.random.default_rng(14).uniform(-1, 1, 400)
+        path = tmp_path_factory.mktemp("history") / "d.csv"
+        Dataset({"x": fixture.column("x"), "b": b, "y": fixture.column("y")}).to_csv(path)
+        return path
+
+    @pytest.fixture(scope="class")
+    def model(self, csv_path):
+        model = fit(Dataset.from_csv(csv_path), "y ~ s(x) + b", cfg(**self.FLAGS))
+        assert [list(map(len, rec.per_term_epoch_losses.values()))
+                for rec in model.trace.iterations] == [[2, 2], [2, 2]]
+        return model
+
+    def test_epochs_once_per_term_in_formula_order(self, model):
+        rows = model.trace.history_rows()
+        assert [(term, epoch) for _, term, epoch, _ in rows] == [
+            (term, epoch) for epoch in (1, 2, 3, 4) for term in self.TERMS
+        ]
+        assert all(re.fullmatch(r"\d{4}-\d\d-\d\d \d\d:\d\d:\d\d", stamp)
+                   for stamp, *_ in rows)
+
+    def test_losses_read_sweep_by_sweep(self, model):
+        expected = [
+            rec.per_term_epoch_losses[term][sweep]
+            for rec in model.trace.iterations for sweep in (0, 1) for term in self.TERMS
+        ]
+        assert [loss for *_, loss in model.trace.history_rows()] == expected
+
+    def test_earlier_iteration_record_is_kept(self, model, csv_path):
+        # backfitting starts a new record each call; the first iteration's
+        # losses are those of a one-iteration fit, not overwritten by the second
+        once = fit(Dataset.from_csv(csv_path), "y ~ s(x) + b",
+                   cfg(**{**self.FLAGS, "max_iter_ls": 1}))
+        assert (model.trace.iterations[0].per_term_epoch_losses
+                == once.trace.iterations[0].per_term_epoch_losses)
+
+    def test_loaded_rows_match_without_stamps(self, model, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        loaded = load_model(path).trace.history_rows()
+        assert all(stamp == "" for stamp, *_ in loaded)
+        # the file stores each iteration's terms in key order, so compare as sets of rows
+        assert sorted(row[1:] for row in loaded) == sorted(
+            row[1:] for row in model.trace.history_rows()
+        )
+
+    def test_history_csv_rows_equal_the_rows(self, model, csv_path, tmp_path):
+        import csv
+
+        from gannet.cli import main
+
+        assert main([
+            "train", "--data", str(csv_path), "--formula", "y ~ s(x) + b",
+            "--model-out", str(tmp_path / "m.json"), "--history-out", str(tmp_path / "h.csv"),
+            # the same settings as cfg(**FLAGS)
+            "--family", "binomial", "--num-units", "8", "--max-iter-ls", "2",
+            "--max-iter-backfitting", "2", "--bf-threshold", "1e-12", "--ls-threshold", "1e-12",
+            "--learning-rate", "0.01", "--seed", "4", "--verbose", "0",
+        ]) == 0
+        with open(tmp_path / "h.csv", newline="") as fh:
+            header, *written = list(csv.reader(fh))
+        assert header == ["timestamp", "model", "epoch", "train_loss"]
+        assert [row[1:] for row in written] == [
+            [term, str(epoch), repr(loss)] for _, term, epoch, loss in model.trace.history_rows()
+        ]
+        assert all(stamp for stamp, *_ in written)
+
+
 class TestConfig:
     def test_defaults_match_documentation(self):
         c = FitConfig(num_units=8)
