@@ -374,6 +374,22 @@ def _decode_estimator(term, tp: dict, config: FitConfig):
     return est
 
 
+def _decode_losses(stored, names: list[str]) -> dict[str, list[float]]:
+    """One iteration's {term: one loss a sweep}, in formula order.
+
+    The file holds it with sorted keys; it must name exactly the formula's
+    terms, each with the same number of sweeps.
+    """
+    stored = dict(stored)
+    if set(stored) != set(names):
+        raise ModelFileError(f"stored losses of terms {sorted(stored)} do not match the "
+                             f"formula's terms {names}")
+    losses = {name: [float(loss) for loss in stored[name]] for name in names}
+    if len({len(sweeps) for sweeps in losses.values()}) > 1:
+        raise ModelFileError("stored loss lists differ in length")
+    return losses
+
+
 def _model_from_payload(payload: dict) -> FittedModel:
     config = FitConfig(**payload["config"])
     formula = parse_formula(payload["formula"])
@@ -398,10 +414,7 @@ def _model_from_payload(payload: dict) -> FittedModel:
                 iteration=int(rp["iteration"]),
                 deviance=float(rp["deviance"]),
                 deviance_ratio=float(rp["deviance_ratio"]),
-                per_term_epoch_losses={
-                    term: [float(loss) for loss in losses]
-                    for term, losses in dict(rp["per_term_epoch_losses"]).items()
-                },
+                per_term_epoch_losses=_decode_losses(rp["per_term_epoch_losses"], names),
                 timestamps=[],
             )
             for rp in payload["trace"]

@@ -323,10 +323,19 @@ class TestHistoryShape:
         save_model(model, path)
         loaded = load_model(path).trace.history_rows()
         assert all(stamp == "" for stamp, *_ in loaded)
-        # the file stores each iteration's terms in key order, so compare as sets of rows
-        assert sorted(row[1:] for row in loaded) == sorted(
-            row[1:] for row in model.trace.history_rows()
-        )
+        # the file sorts each iteration's terms by name; loading restores formula order
+        assert [row[1:] for row in loaded] == [row[1:] for row in model.trace.history_rows()]
+
+    def test_loaded_summary_lists_terms_in_formula_order(self, model, tmp_path):
+        save_model(model, tmp_path / "m.json")
+        text = summarize(load_model(tmp_path / "m.json"))
+        epoch_1 = [line.split()[0] for line in text.splitlines() if line.split()[1:2] == ["1"]]
+        assert epoch_1 == list(self.TERMS)
+
+    def test_resaved_file_is_byte_identical(self, model, tmp_path):
+        save_model(model, tmp_path / "a.json")
+        save_model(load_model(tmp_path / "a.json"), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_history_csv_rows_equal_the_rows(self, model, csv_path, tmp_path):
         import csv

@@ -75,6 +75,10 @@ MALFORMED = [
     ("string_slope", ("terms", 1), _set("slope", "steep")),
     ("string_loss", ("trace", 0, "per_term_epoch_losses"), _set("x1", ["low"])),
     ("losses_as_list", ("trace", 0), _set("per_term_epoch_losses", [1.0])),
+    ("extra_loss_term", ("trace", 0, "per_term_epoch_losses"),
+     lambda losses: losses.__setitem__("nosuch", list(losses["x1"]))),
+    ("missing_loss_term", ("trace", 0, "per_term_epoch_losses"), lambda losses: losses.pop("x1")),
+    ("short_loss_list", ("trace", 0, "per_term_epoch_losses", "x2"), lambda losses: losses.pop()),
     ("infinite_n", (), _set("n", float("inf"))),
     ("fractional_n", (), _set("n", 2.5)),
     ("negative_n", (), _set("n", -3)),

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gannet import nn_core
 from gannet.config import FitConfig
@@ -269,6 +271,17 @@ class TestForward:
 
 
 class TestGradients:
+    def test_per_layer_views_of_one_vector_in_params_layout(self):
+        net = build_network((4, 3), "relu", np.random.default_rng(0))
+        grads = gradients(net, np.linspace(-1, 1, 5), np.ones(5))
+        _, _, flat = _batch_loss_and_grads(net, np.linspace(-1, 1, 5), np.ones(5), np.ones(5), 0.0)
+        assert flat.shape == net.params.shape
+        base = grads[0][0].base
+        for (g_w, g_b), layer in zip(grads, net.layers):
+            assert g_w.shape == layer.weights.shape and g_b.shape == layer.biases.shape
+            assert g_w.base is base and g_b.base is base
+        np.testing.assert_array_equal(base, flat)
+
     def test_1_4_1_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         net = build_network((4,), "relu", rng)
@@ -328,8 +341,8 @@ class TestSplineKernel:
         d_wsse, d_wsum, d_grads = dense(_batch_loss_and_grads, net, x, t, w, l2)
         assert wsum == d_wsum
         assert abs(wsse - d_wsse) <= 1e-12 * max(1.0, abs(d_wsse))
-        assert [(g.shape, h.shape) for g, h in grads] == [(g.shape, h.shape) for g, h in d_grads]
-        assert max_relative_error(grads, d_grads) <= 1e-12
+        assert grads.shape == d_grads.shape == net.params.shape
+        assert max_relative_error(net.layer_views(grads), net.layer_views(d_grads)) <= 1e-12
 
     @pytest.mark.parametrize("l2", [0.0, 0.05])
     @pytest.mark.parametrize("case", SMOOTH_CASES)
@@ -363,31 +376,80 @@ class TestSplineKernel:
             np.testing.assert_array_equal(la.biases, lb.biases)
 
 
+def unsorted_knot_positions(u, a, b):
+    """(lo, hi) of every unit by two searches over its knots in unit order:
+    the oracle for the kernel, which searches them in ascending order."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        knots = np.where(a == 0.0, np.where(b > 0.0, -np.inf, np.inf), -b / a)
+    return np.searchsorted(u, knots, side="right"), np.searchsorted(u, knots, side="left")
+
+
+# zero slopes of both signs, biases above, at and below 0, and no slope so
+# small that its knot overflows
+SLOPES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 2.0]),
+                   st.floats(1e-3, 4.0), st.floats(-4.0, -1e-3))
+BIASES = st.one_of(st.sampled_from([0.0, -0.0, 0.7, -0.7]), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def placement_cases(draw):
+    """(a, b, x) with rows on knots and repeated rows, one row or more."""
+    units = draw(st.integers(1, 12))
+    a = np.array(draw(st.lists(SLOPES, min_size=units, max_size=units)))
+    b = np.array(draw(st.lists(BIASES, min_size=units, max_size=units)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        on_knots = [float(k) for k in -b / a if np.isfinite(k)]
+    row = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(on_knots + [0.0, 1.0]))
+    rows = draw(st.lists(row, min_size=1, max_size=16))
+    repeats = draw(st.integers(0, len(rows)))
+    return a, b, np.array(rows + rows[:repeats])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=placement_cases())
+def test_knot_placement_matches_unsorted_searches(case):
+    a, b, x = case
+    net = spline_net(a, b, np.linspace(-1.0, 1.0, a.size), w1=1.0, b1=0.0)  # u = x
+    spline = nn_core._Spline(net, x)
+    lo, hi = unsorted_knot_positions(spline.u, a, b)
+    np.testing.assert_array_equal(spline.lo, lo)
+    np.testing.assert_array_equal(spline.hi, hi)
+    np.testing.assert_allclose(forward(net, x), dense(forward, net, x), rtol=1e-12, atol=1e-12)
+
+
+def forward_peak_bytes(net, n):
+    """Peak bytes tracemalloc sees allocated by one forward over n rows."""
+    x = np.random.default_rng(1).uniform(-2, 2, n)
+    tracemalloc.start()
+    try:
+        forward(net, x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestForwardMemory:
     @pytest.mark.parametrize("num_units", [(1024,), (64, 64)])
     def test_peak_allocation_is_linear_in_rows(self, num_units):
         net = build_network(num_units, "relu", np.random.default_rng(0))
-
-        def peak_bytes(n):
-            x = np.random.default_rng(1).uniform(-2, 2, n)
-            tracemalloc.start()
-            try:
-                forward(net, x)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         # a few float64/int64 vectors per row, never a row x width block
         # (which for these widths is 512-8192 bytes per row)
         rows = 200_000 - 10_000
-        assert peak_bytes(200_000) - peak_bytes(10_000) <= 16 * 8 * rows
+        assert forward_peak_bytes(net, 200_000) - forward_peak_bytes(net, 10_000) <= 16 * 8 * rows
+
+    def test_kernel_peak_bytes_per_row(self):
+        # the output, the sort order, sorted u, 4 floats a row of unit
+        # sums and f: 64 bytes a row; the score workload's peak RSS rides on it
+        net = build_network((1024,), "relu", np.random.default_rng(0))
+        assert _is_spline(net)
+        assert forward_peak_bytes(net, 100_000) <= 96 * 100_000
 
 
 class TestAdam:
     def test_single_bias_corrected_step(self):
         net = single_layer_net(0.0, 0.0)
         adam = AdamState(learning_rate=0.001)
-        adam.apply(net, [(np.array([[1.0]]), np.array([0.0]))])
+        adam.apply(net, np.array([1.0, 0.0]))
         expected = -0.001 * 1.0 / (1.0 + 1e-7)
         assert net.layers[0].weights[0, 0] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(-0.0009999, abs=1e-7)
@@ -398,7 +460,7 @@ class TestAdam:
         adam = AdamState(learning_rate=0.001)
         prev = 0.0
         for _ in range(50):
-            adam.apply(net, [(np.array([[1.0]]), np.array([0.0]))])
+            adam.apply(net, np.array([1.0, 0.0]))
             step = abs(net.layers[0].weights[0, 0] - prev)
             prev = net.layers[0].weights[0, 0]
             assert step <= 0.001 * (1.0 + 1e-6)
@@ -407,7 +469,7 @@ class TestAdam:
         net = build_network((4,), "relu", np.random.default_rng(0))
         adam = AdamState()
         assert adam.first_moment is None and adam.second_moment is None
-        adam.apply(net, [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in net.layers])
+        adam.apply(net, np.zeros_like(net.params))
         for moment in (adam.first_moment, adam.second_moment):
             assert moment.shape == net.params.shape
             np.testing.assert_array_equal(moment, 0.0)
@@ -419,10 +481,9 @@ class TestAdam:
         adam, oracle = AdamState(learning_rate=0.01), PerLayerAdam(learning_rate=0.01)
         rng = np.random.default_rng(2)
         for _ in range(25):
-            grads = [(rng.normal(size=l.weights.shape), rng.normal(size=l.biases.shape))
-                     for l in net.layers]
-            adam.apply(net, grads)
-            oracle.apply(oracle_net, grads)
+            grad = rng.normal(size=net.params.size)
+            adam.apply(net, grad)
+            oracle.apply(oracle_net, net.layer_views(grad))
         for la, lb in zip(net.layers, oracle_net.layers):
             np.testing.assert_array_equal(la.weights, lb.weights)
             np.testing.assert_array_equal(la.biases, lb.biases)
@@ -432,13 +493,13 @@ class TestAdam:
     def test_non_finite_gradient_changes_nothing(self, steps_before):
         net = build_network((8,), "relu", np.random.default_rng(0))
         adam = AdamState(learning_rate=0.01)
-        ones = [(np.ones_like(l.weights), np.ones_like(l.biases)) for l in net.layers]
+        ones = np.ones_like(net.params)
         for _ in range(steps_before):
             adam.apply(net, ones)
         before = (net.params.copy(), copy.deepcopy(adam.first_moment),
                   copy.deepcopy(adam.second_moment), adam.step_count)
-        bad = copy.deepcopy(ones)
-        bad[1][0][3, 0] = np.nan
+        bad = ones.copy()
+        net.layer_views(bad)[1][0][3, 0] = np.nan
         with pytest.raises(NumericInstabilityError, match="non-finite gradient for term 'x2'"):
             adam.apply(net, bad, label="x2")
         after = (net.params, adam.first_moment, adam.second_moment, adam.step_count)
@@ -447,11 +508,11 @@ class TestAdam:
 
     def test_one_isfinite_scan_of_gradient_and_of_params(self, monkeypatch):
         net = build_network((8, 8), "relu", np.random.default_rng(0))
-        grads = gradients(net, np.linspace(-1, 1, 5), np.ones(5))
+        _, _, grad = _batch_loss_and_grads(net, np.linspace(-1, 1, 5), np.ones(5), np.ones(5), 0.0)
         scanned = []
         isfinite = np.isfinite
         monkeypatch.setattr(np, "isfinite", lambda a: scanned.append(np.size(a)) or isfinite(a))
-        AdamState().apply(net, grads)
+        AdamState().apply(net, grad)
         assert scanned == [net.params.size, net.params.size]
 
     def test_validation(self):
@@ -510,7 +571,7 @@ class TestTrainOneEpoch:
             xb, tb, wb = x[chunk], t[chunk], w[chunk]
             yhat = forward(clone, xb)
             total += float(np.sum(wb * (yhat - tb) ** 2))
-            adam.apply(clone, gradients(clone, xb, tb, wb))
+            adam.apply(clone, _batch_loss_and_grads(clone, xb, tb, wb, 0.0)[2])
         assert reported == pytest.approx(total / w.sum(), rel=1e-12)
 
     def test_doubling_weights_changes_nothing(self):
