@@ -45,7 +45,10 @@ class SmoothTermEstimator:
 
     @classmethod
     def from_parts(cls, name: str, net) -> "SmoothTermEstimator":
-        """Rebuild from stored parameters; prediction only (no optimizer)."""
+        """Rebuild from stored parameters; prediction only (no optimizer).
+
+        `fit` leaves the estimators of the model it returns in this state.
+        """
         est = cls.__new__(cls)
         est.name = name
         est.net = net
@@ -58,7 +61,10 @@ class SmoothTermEstimator:
     def fit(self, x, residuals, weights, config: FitConfig) -> float:
         """Train for the configured epochs; refresh raw fitted values."""
         if self.adam is None:
-            raise RuntimeError("estimator was loaded from file and cannot be retrained")
+            raise RuntimeError(
+                "estimator has no optimizer state: a fitted or loaded model "
+                "predicts but does not resume training"
+            )
         loss = np.nan
         for _ in range(config.epochs_per_sweep):
             loss = nn_core.train_one_epoch(

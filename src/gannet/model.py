@@ -12,8 +12,9 @@ architecture is rebuilt from the stored config, the family from the
 config's `family` name alone, and each term's kind from the stored
 formula. Floats are written with full round-trip precision, so a loaded
 model predicts bit-identically to the original on the same data; it
-needs that data passed in. Optimizer state is not saved; a loaded model
-predicts but does not resume training.
+needs that data passed in. Optimizer state is neither saved nor kept by
+the model `fit` returns; a fitted or loaded model predicts but does not
+resume training.
 """
 
 from __future__ import annotations
@@ -213,6 +214,10 @@ def fit(data, formula, config: FitConfig) -> FittedModel:
         name: (float(np.min(data.column(name))), float(np.max(data.column(name))))
         for name in formula.term_names
     }
+    for est in state.estimators:
+        if est.kind == SMOOTH:
+            # a model predicts but never resumes training: drop the optimizer
+            est.adam = est.shuffle_rng = None
     cols = [est.fitted_values for est in state.estimators]
     training_eta = state.alpha + np.sum(np.column_stack(cols), axis=1)
     mu = family.inverse_link(training_eta)

@@ -35,10 +35,20 @@ sum. The batch gradients follow from the sums S0_k and S1_k of delta and
 delta*u over each unit's active rows, read from one table of their prefix
 and suffix sums: dv_k = a_k*S1_k + b_k*S0_k, da_k = v_k*S1_k,
 db_k = v_k*S0_k, and the input layer sees delta*A(u).
-Which code runs is read off the layer list; every other network (deeper,
-or linear hidden units) takes the dense code, whose `forward` runs over
-blocks of rows (FORWARD_BLOCK_FLOATS) so that no call holds an n x H
-temporary. The dense code is also the tests' oracle for the kernel.
+Which code runs is read off the layer list.
+
+Piece table. Every other network (deeper, or linear hidden units) is
+still a continuous piecewise-linear function of x, with a number of pieces
+that depends on its units and not on n. `forward` builds that function
+on [min x, max x] as a table (`_piece_table`): walking the layers, it keeps
+each piece's pre-activations as S*x + O, splits the pieces at a relu
+layer's zero crossings -O/S inside them, masks each unit by the side of
+its crossing the piece lies on, and multiplies by the next layer. Each row
+then costs one searchsorted into the edges and one multiply-add, over
+blocks of FORWARD_BLOCK_FLOATS rows, so the output is the only row-sized
+array. These networks train through the dense pass (`_forward_cached`,
+`_dense_grads`), which is also the tests' oracle for the kernel and the
+table.
 """
 
 from __future__ import annotations
@@ -54,11 +64,10 @@ IDENTITY = "linear"
 
 ACTIVATIONS = (RELU, IDENTITY)
 
-# floats per temporary of the dense forward pass, which runs over blocks of
-# this many floats divided by the widest layer's width in rows. Memory then
-# stays linear in n, and the allocator reuses 256 KB blocks from call to
-# call, where blocks of 1 MB and more went back to the system and were
-# page-faulted in again on the next call.
+# rows per block of the piece table's forward pass: its temporaries are
+# 256 KB, which the allocator reuses from call to call, where blocks of 1 MB
+# and more went back to the system and were page-faulted in again on the
+# next call.
 FORWARD_BLOCK_FLOATS = 1 << 15
 
 
@@ -166,21 +175,52 @@ def forward(net: SubNetwork, x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise DataValidationError("network input contains non-finite values")
     out = np.empty_like(x)
+    if x.size == 0:
+        return out
     if _is_spline(net):
         spline = _Spline(net, x)
         out[spline.order] = spline.f
         return out
-    rows = max(1, FORWARD_BLOCK_FLOATS // max(layer.fan_out for layer in net.layers))
-    for start in range(0, x.size, rows):
-        block = slice(start, start + rows)
-        a = x[block].reshape(-1, 1)
-        for layer in net.layers:
-            a = a @ layer.weights.T  # the layer's one temporary; the rest is in place
-            a += layer.biases
-            if layer.activation == RELU:
-                np.maximum(a, 0.0, out=a)
-        out[block] = a[:, 0]
+    edges, slope, offset = _piece_table(net, x.min(), x.max())
+    inner = edges[1:-1]
+    for start in range(0, x.size, FORWARD_BLOCK_FLOATS):
+        block = slice(start, start + FORWARD_BLOCK_FLOATS)
+        piece = inner.searchsorted(x[block], side="right")
+        np.multiply(slope[piece], x[block], out=out[block])
+        out[block] += offset[piece]
     return out
+
+
+def _piece_table(net: SubNetwork, lo: float, hi: float):
+    """The network on [lo, hi] as a table of linear pieces.
+
+    Returns (edges, slope, offset): piece p spans [edges[p], edges[p + 1]]
+    and the network is slope[p]*x + offset[p] on it. Each relu layer of
+    width H splits every piece at most H times, so there are at most
+    prod(H_l + 1) pieces over the relu layers, whatever the number of rows.
+    """
+    edges = np.array([lo, hi])
+    # pre-activations S*x + O of the current layer, one row per piece
+    slope, offset = np.ones((1, 1)), np.zeros((1, 1))
+    for layer in net.layers:
+        slope = slope @ layer.weights.T
+        offset = offset @ layer.weights.T + layer.biases
+        if layer.activation != RELU:
+            continue
+        # split each piece at the zero crossings strictly inside it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = -offset / slope
+        inside = (cross > edges[:-1, None]) & (cross < edges[1:, None])
+        # a crossing inside one piece lies in no other, so only units that
+        # cross at one point repeat; lo == hi stays one piece of width 0
+        cuts = np.sort(np.concatenate([edges, np.unique(cross[inside])]))
+        parent = edges[1:-1].searchsorted(cuts[:-1], side="right")
+        edges, slope, offset, cross = cuts, slope[parent], offset[parent], cross[parent]
+        # a unit is active on a whole piece, or nowhere on it but at one end
+        active = np.where(slope > 0.0, edges[:-1, None] >= cross,
+                          np.where(slope < 0.0, edges[1:, None] <= cross, offset > 0.0))
+        slope, offset = slope * active, offset * active
+    return edges, slope[:, 0], offset[:, 0]
 
 
 def _is_spline(net: SubNetwork) -> bool:

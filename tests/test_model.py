@@ -76,6 +76,15 @@ class TestFit:
         for est in model.estimators:
             assert abs(est.fitted_values.mean()) < 1e-8
 
+    def test_fitted_model_keeps_no_optimizer_state(self, mixed_model_and_data, tmp_path):
+        model, data = mixed_model_and_data
+        save_model(model, tmp_path / "m.json")
+        for source in (model, load_model(tmp_path / "m.json")):
+            est = source.terms["x1"]
+            assert est.adam is None and est.shuffle_rng is None
+            with pytest.raises(RuntimeError, match="a fitted or loaded model predicts"):
+                est.fit(data.column("x1"), data.column("y"), np.ones(data.n), source.config)
+
 
 class TestPredict:
     def test_terms_plus_intercept_equals_link_exactly(self, mixed_model_and_data):
@@ -112,6 +121,16 @@ class TestPredict:
             assert model.predict(newdata, type="terms", terms=[]).shape == (7, 0)
         else:
             assert model.predict(type="terms", terms=[]).shape == (model.n, 0)
+
+    def test_zero_rows_of_a_deep_model(self):
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-2, 2, 200)
+        data = Dataset({"x": x, "y": np.sin(x) + rng.normal(0, 0.1, 200)})
+        model = fit(data, "y ~ s(x)", cfg(num_units=(8, 8), max_iter_backfitting=2))
+        empty = Dataset({"x": np.empty(0)})
+        assert model.predict(empty, type="link").shape == (0,)
+        assert model.predict(empty, type="response").shape == (0,)
+        assert model.predict(empty, type="terms").shape == (0, 1)
 
     def test_unknown_term_rejected(self, mixed_model_and_data):
         model, data = mixed_model_and_data

@@ -22,7 +22,7 @@ from gannet.nn_core import (
     gradients,
     train_one_epoch,
 )
-from gannet.nn_core import _batch_loss_and_grads, _is_spline
+from gannet.nn_core import _batch_loss_and_grads, _forward_cached, _is_spline, _piece_table
 
 
 def single_layer_net(w: float, b: float) -> SubNetwork:
@@ -96,8 +96,14 @@ class PerLayerAdam(AdamState):
                 param -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
 
 
-def dense(fn, *args, **kwargs):
-    """Call fn with the spline kernel switched off: the dense code is its oracle."""
+def dense_forward(net, x):
+    """The dense pass that deep-net training runs: the oracle of `forward`."""
+    return _forward_cached(net, np.asarray(x, dtype=np.float64))[0][-1][:, 0]
+
+
+def without_spline(fn, *args, **kwargs):
+    """Call fn with the spline kernel switched off: batch gradients then come
+    from the dense code, the kernel's oracle, and `forward` from the piece table."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nn_core, "_is_spline", lambda net: False)
         return fn(*args, **kwargs)
@@ -264,6 +270,13 @@ class TestForward:
         expected = 3.0 * h1 - 1.0 * h2 + 0.125
         np.testing.assert_allclose(forward(net, np.array([x])), [expected], rtol=1e-15)
 
+    @pytest.mark.parametrize("num_units, activation",
+                             [((16,), "relu"), ((8, 8), "relu"), ((8,), "linear")])
+    def test_zero_rows_give_an_empty_vector(self, num_units, activation):
+        net = build_network(num_units, activation, np.random.default_rng(0))
+        out = forward(net, np.empty(0))
+        assert out.shape == (0,) and out.dtype == np.float64
+
     def test_rejects_non_finite_input(self):
         net = build_network((4,), "relu", np.random.default_rng(0))
         with pytest.raises(DataValidationError):
@@ -330,7 +343,9 @@ class TestSplineKernel:
     @pytest.mark.parametrize("case", SPLINE_CASES)
     def test_forward_matches_dense(self, case):
         net, x, _ = SPLINE_CASES[case]
-        np.testing.assert_allclose(forward(net, x), dense(forward, net, x), rtol=1e-12, atol=1e-12)
+        oracle = dense_forward(net, x)
+        np.testing.assert_allclose(forward(net, x), oracle, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(without_spline(forward, net, x), oracle, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("l2", [0.0, 0.05])
     @pytest.mark.parametrize("case", SPLINE_CASES)
@@ -338,7 +353,7 @@ class TestSplineKernel:
         net, x, w = SPLINE_CASES[case]
         t = np.cos(3.0 * x)
         wsse, wsum, grads = _batch_loss_and_grads(net, x, t, w, l2)
-        d_wsse, d_wsum, d_grads = dense(_batch_loss_and_grads, net, x, t, w, l2)
+        d_wsse, d_wsum, d_grads = without_spline(_batch_loss_and_grads, net, x, t, w, l2)
         assert wsum == d_wsum
         assert abs(wsse - d_wsse) <= 1e-12 * max(1.0, abs(d_wsse))
         assert grads.shape == d_grads.shape == net.params.shape
@@ -414,7 +429,47 @@ def test_knot_placement_matches_unsorted_searches(case):
     lo, hi = unsorted_knot_positions(spline.u, a, b)
     np.testing.assert_array_equal(spline.lo, lo)
     np.testing.assert_array_equal(spline.hi, hi)
-    np.testing.assert_allclose(forward(net, x), dense(forward, net, x), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(forward(net, x), dense_forward(net, x), rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def piece_table_cases(draw):
+    """(net, x): 1-3 hidden layers of relu or linear units, some weights 0
+    (zero slopes), an input weight of either sign or 0, and rows on the
+    table's edges, repeated, single or all equal."""
+    widths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    activation = draw(st.sampled_from(["relu", "linear"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.sampled_from([0.0, 0.3]))
+    layers = [
+        DenseLayer(rng.normal(0.0, 1.0, (o, i)) * (rng.random((o, i)) >= zeros),
+                   rng.normal(0.0, 1.0, o), act)
+        for i, o, act in nn_core.layer_plan(tuple(widths), activation)
+    ]
+    layers[0].weights[0, 0] = draw(st.sampled_from([-1.5, -0.0, 0.0, 0.8]))
+    net = SubNetwork(layers)
+    rows = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12))
+    shape = draw(st.sampled_from(["plain", "on_edges", "all_equal"]))
+    if shape == "all_equal":
+        rows = rows[:1] * draw(st.integers(1, 5))
+    elif shape == "on_edges":
+        # the table of [min, max] again: its edges lie inside that range
+        edges = _piece_table(net, min(rows), max(rows))[0]
+        rows += [float(e) for e in edges]
+    repeats = draw(st.integers(0, len(rows)))
+    return net, np.array(rows + rows[:repeats])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=piece_table_cases())
+def test_piece_table_matches_dense_pass(case):
+    net, x = case
+    oracle = dense_forward(net, x)
+    table = without_spline(forward, net, x)
+    assert np.max(np.abs(table - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
+    # each relu layer of width H splits a piece at most H times
+    bound = math.prod(l.fan_out + 1 for l in net.layers if l.activation == "relu")
+    assert _piece_table(net, x.min(), x.max())[1].size <= bound
 
 
 def forward_peak_bytes(net, n):
@@ -443,6 +498,17 @@ class TestForwardMemory:
         net = build_network((1024,), "relu", np.random.default_rng(0))
         assert _is_spline(net)
         assert forward_peak_bytes(net, 100_000) <= 96 * 100_000
+
+    def test_piece_table_peak_bytes_per_row(self):
+        # the output and one block of piece indices and gathered coefficients
+        net = build_network((64, 64), "relu", np.random.default_rng(0))
+        inp, hidden = net.layers[:2]
+        inp.weights[:], inp.biases[:] = 1.0, 0.0
+        # hidden kinks spread over the input range (-2, 2) of forward_peak_bytes
+        hidden.biases[:] = -hidden.weights[:, 0] * np.linspace(-1.9, 1.9, 64)
+        net.layers[2].biases[:] = np.random.default_rng(1).normal(0.0, 0.3, 64)
+        assert _piece_table(net, -2.0, 2.0)[1].size > 64
+        assert forward_peak_bytes(net, 100_000) <= 24 * 100_000
 
 
 class TestAdam:
