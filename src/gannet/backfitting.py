@@ -8,7 +8,8 @@ squared change of all term functions, relative to their previous summed
 squares, drops below the configured threshold, or when the sweep cap is
 reached. Networks and their optimizer state persist across sweeps and
 across local-scoring iterations, so each one-epoch fit warm-starts from
-the last.
+the last. Each sweep leaves one `Sweep` record: every term's training
+loss and centering shift, the change ratio and the time it ended.
 """
 
 from __future__ import annotations
@@ -182,23 +183,35 @@ def fitted_change_ratio(prev: list[np.ndarray], curr: list[np.ndarray]) -> float
 
 
 @dataclass
+class Sweep:
+    """One backfitting sweep: each term's training loss and centering shift,
+    keyed by term in formula order, the change ratio (None when undefined)
+    and the end time (None in a loaded model)."""
+
+    losses: dict[str, float]
+    shifts: dict[str, float]
+    ratio: float | None
+    timestamp: _dt.datetime | None
+
+
+@dataclass
 class BackfitState:
     """Mutable state threaded through backfitting sweeps.
 
     One instance persists across local-scoring iterations so the
-    subnetworks warm-start. Each backfit() call starts fresh per-call
-    records (losses, timestamps, ratios, snapshot), never clearing the
-    old ones in place: the previous iteration's record still holds them.
+    subnetworks warm-start. Each backfit() call binds a fresh `sweeps`
+    list, never clearing the old one in place: the previous iteration's
+    record still holds it.
     """
 
     alpha: float
     estimators: list
-    sweep_count: int = 0
-    converged: bool = False
-    ratio_history: list = field(default_factory=list)
-    term_losses: dict = field(default_factory=dict)  # per term: one loss a sweep
-    sweep_timestamps: list = field(default_factory=list)
-    prev_snapshot: list | None = None  # term fits before the last sweep
+    sweeps: list[Sweep] = field(default_factory=list)
+
+    @property
+    def sweep_count(self) -> int:
+        """Sweeps of the last backfit() call; perfbench reads it."""
+        return len(self.sweeps)
 
     def fitted_sum(self) -> np.ndarray:
         total = np.zeros_like(self.estimators[0].fitted_values)
@@ -219,28 +232,20 @@ def backfit(
     The intercept state.alpha is held fixed throughout; the caller sets it
     per local-scoring iteration. The first sweep from the all-zero state
     has a zero denominator, so its criterion is skipped and at least one
-    full fitting pass always happens. Each term's training loss is
-    appended to state.term_losses[name] where it is measured.
+    full fitting pass always happens. Each sweep appends its record to
+    state.sweeps.
     """
-    state.sweep_count = 0
-    state.converged = False
-    state.ratio_history = []
-    state.term_losses = {est.name: [] for est in state.estimators}
-    state.sweep_timestamps = []
-    state.prev_snapshot = None
-
+    state.sweeps = []
     for _ in range(config.max_iter_backfitting):
-        prev = [est.fitted_values.copy() for est in state.estimators]
+        # no copies needed: every write to fitted_values rebinds it, none is in place
+        prev = [est.fitted_values for est in state.estimators]
+        losses, shifts = {}, {}
         for j, est in enumerate(state.estimators):
             r = partial_residuals(z, state.alpha, state.estimators, j)
-            state.term_losses[est.name].append(est.fit(covariates[est.name], r, w, config))
-            center_term(est)
-        state.sweep_count += 1
-        state.prev_snapshot = prev
-        state.sweep_timestamps.append(_dt.datetime.now())
+            losses[est.name] = est.fit(covariates[est.name], r, w, config)
+            shifts[est.name] = center_term(est)
         ratio = fitted_change_ratio(prev, [e.fitted_values for e in state.estimators])
-        state.ratio_history.append(ratio)
+        state.sweeps.append(Sweep(losses, shifts, ratio, _dt.datetime.now()))
         if ratio is not None and ratio < config.bf_threshold:
-            state.converged = True
             break
     return state

@@ -6,18 +6,16 @@ intercept as the weighted mean of the working response, and delegates the
 additive fit to backfitting. Convergence is judged by the relative drop
 in deviance; the identity-link Gaussian case needs no relinearization, so
 it runs exactly one iteration. An iteration's record keeps backfitting's
-loss lists and timestamps as written; `history_rows` is their one reader.
+`Sweep` list as written; `history_rows` walks it sweep by sweep.
 """
 
 from __future__ import annotations
 
-import datetime as _dt
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backfitting import BackfitState, backfit, make_estimator
+from .backfitting import BackfitState, Sweep, backfit, make_estimator
 from .config import FitConfig
 from .exceptions import DataValidationError, DegenerateDataError
 from .families import GAUSSIAN, Family
@@ -26,20 +24,25 @@ from .formula import Formula
 
 @dataclass
 class IterationRecord:
-    """One local-scoring iteration: deviance bookkeeping, backfitting's
-    {term: one loss a sweep} record in formula order, and one timestamp a
-    sweep (none for a loaded model)."""
+    """One local-scoring iteration: deviance bookkeeping and backfitting's
+    sweep records."""
 
     iteration: int
     deviance: float
-    deviance_ratio: float | None
-    per_term_epoch_losses: dict[str, list[float]]
-    timestamps: list[_dt.datetime]
+    deviance_ratio: float
+    sweeps: list[Sweep]
     # working quantities kept for diagnostics; not serialized
     eta: np.ndarray | None = None
     mu: np.ndarray | None = None
     z: np.ndarray | None = None
     w: np.ndarray | None = None
+
+    @property
+    def per_term_epoch_losses(self) -> dict[str, list[float]]:
+        """{term: one loss a sweep} in formula order, derived from `sweeps`;
+        perfbench reads it."""
+        names = self.sweeps[0].losses if self.sweeps else ()
+        return {name: [sweep.losses[name] for sweep in self.sweeps] for name in names}
 
 
 @dataclass
@@ -49,16 +52,14 @@ class LocalScoringTrace:
     def history_rows(self) -> list[tuple[str, str, int, float]]:
         """(timestamp text or "", term, epoch, loss) rows, as printed and saved;
         the epoch counter runs across the sweeps of all iterations, one epoch
-        a sweep, terms in record order within it."""
+        a sweep, terms in formula order within it."""
         rows = []
         epoch = 0
         for rec in self.iterations:
-            stamps = [ts.strftime("%Y-%m-%d %H:%M:%S") for ts in rec.timestamps]
-            sweeps = zip(*rec.per_term_epoch_losses.values())
-            for stamp, losses in zip(stamps or itertools.repeat(""), sweeps):
+            for sweep in rec.sweeps:
                 epoch += 1
-                rows += [(stamp, term, epoch, loss)
-                         for term, loss in zip(rec.per_term_epoch_losses, losses)]
+                stamp = sweep.timestamp.strftime("%Y-%m-%d %H:%M:%S") if sweep.timestamp else ""
+                rows += [(stamp, term, epoch, loss) for term, loss in sweep.losses.items()]
         return rows
 
 
@@ -127,23 +128,13 @@ def local_scoring(
         mu_new = family.inverse_link(state.alpha + state.fitted_sum())
         dev = family.deviance(y, mu_new)
         ratio = deviance_ratio(dev_before, dev)
-        trace.iterations.append(
-            IterationRecord(
-                iteration=l,
-                deviance=dev,
-                deviance_ratio=ratio,
-                per_term_epoch_losses=state.term_losses,
-                timestamps=state.sweep_timestamps,
-                eta=eta,
-                mu=mu,
-                z=z,
-                w=w,
-            )
-        )
+        trace.iterations.append(IterationRecord(
+            iteration=l, deviance=dev, deviance_ratio=ratio, sweeps=state.sweeps,
+            eta=eta, mu=mu, z=z, w=w))
         if config.verbose:
             print(
                 f"[gannet] local scoring iteration {l}: deviance={dev:.6g} "
-                f"ratio={ratio:.6g} sweeps={state.sweep_count}"
+                f"ratio={ratio:.6g} sweeps={len(state.sweeps)}"
             )
         if family.kind == GAUSSIAN:
             break

@@ -10,9 +10,12 @@ Model files are JSON with a content checksum. They hold the model, not
 the training rows, and store each quantity once: the subnetwork
 architecture is rebuilt from the stored config, the family from the
 config's `family` name alone, and each term's kind from the stored
-formula. Floats are written with full round-trip precision, so a loaded
-model predicts bit-identically to the original on the same data; it
-needs that data passed in. Optimizer state is neither saved nor kept by
+formula. The trace holds one record per backfitting sweep, each term's
+loss and centering shift as lists in formula order; a term's offset is
+its shift in the final sweep, so it is not stored again. Floats are
+written with full round-trip precision, so a loaded model predicts
+bit-identically to the original on the same data; it needs that data
+passed in. Optimizer state is neither saved nor kept by
 the model `fit` returns; a fitted or loaded model predicts but does not
 resume training.
 """
@@ -27,7 +30,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import nn_core
-from .backfitting import LinearTermEstimator, SmoothTermEstimator
+from .backfitting import LinearTermEstimator, SmoothTermEstimator, Sweep
 from .config import FitConfig
 from .data import Dataset
 from .exceptions import ConfigError, DataValidationError, GannetError, ModelFileError
@@ -36,7 +39,7 @@ from .formula import SMOOTH, Formula, format_formula, parse_formula
 from .local_scoring import IterationRecord, LocalScoringTrace, local_scoring
 
 FILE_FORMAT = "gannet-model"
-FILE_VERSION = 4
+FILE_VERSION = 5
 
 PREDICT_TYPES = ("link", "response", "terms")
 
@@ -249,7 +252,6 @@ def _floats(arr) -> list:
 def _estimator_payload(est, lo: float, hi: float) -> dict:
     base = {
         "name": est.name,
-        "offset": float(est.offset),
         "train_min": lo,
         "train_max": hi,
     }
@@ -269,10 +271,13 @@ def _trace_payload(trace: LocalScoringTrace) -> list:
     # keeps model files byte-identical across same-seed runs
     return [
         {
-            "iteration": rec.iteration,
             "deviance": rec.deviance,
             "deviance_ratio": rec.deviance_ratio,
-            "per_term_epoch_losses": rec.per_term_epoch_losses,
+            "sweeps": [
+                {"losses": list(sweep.losses.values()),
+                 "shifts": list(sweep.shifts.values()), "ratio": sweep.ratio}
+                for sweep in rec.sweeps
+            ],
         }
         for rec in trace.iterations
     ]
@@ -347,12 +352,14 @@ def load_model(path) -> FittedModel:
 
 def _decode(values, shape: tuple, what: str) -> np.ndarray:
     """Stored numbers as a float64 array of exactly `shape`, all finite."""
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise ModelFileError(f"{what} holds values that are not numbers")
     if arr.shape != shape:
         raise ModelFileError(f"{what} has shape {arr.shape}, expected {shape}")
     if not np.all(np.isfinite(arr)):
         raise ModelFileError(f"{what} contains non-finite values")
-    return arr
+    return arr.astype(np.float64)
 
 
 def _decode_estimator(term, tp: dict, config: FitConfig):
@@ -375,24 +382,24 @@ def _decode_estimator(term, tp: dict, config: FitConfig):
             float(_decode(tp["slope"], (), f"term {name!r} slope")),
             float(_decode(tp["x_center"], (), f"term {name!r} x_center")),
         )
-    est.offset = float(_decode(tp["offset"], (), f"term {name!r} offset"))
     return est
 
 
-def _decode_losses(stored, names: list[str]) -> dict[str, list[float]]:
-    """One iteration's {term: one loss a sweep}, in formula order.
-
-    The file holds it with sorted keys; it must name exactly the formula's
-    terms, each with the same number of sweeps.
-    """
-    stored = dict(stored)
-    if set(stored) != set(names):
-        raise ModelFileError(f"stored losses of terms {sorted(stored)} do not match the "
-                             f"formula's terms {names}")
-    losses = {name: [float(loss) for loss in stored[name]] for name in names}
-    if len({len(sweeps) for sweeps in losses.values()}) > 1:
-        raise ModelFileError("stored loss lists differ in length")
-    return losses
+def _decode_iteration(i: int, rp: dict, names: list[str]) -> IterationRecord:
+    """Stored iteration i; each sweep holds its losses and shifts in formula order."""
+    what = f"trace iteration {i}"
+    if not rp["sweeps"]:
+        raise ModelFileError(f"{what} has no sweeps")
+    sweeps = []
+    for k, sp in enumerate(rp["sweeps"], 1):
+        where = f"{what} sweep {k}"
+        losses = _decode(sp["losses"], (len(names),), f"{where} losses").tolist()
+        shifts = _decode(sp["shifts"], (len(names),), f"{where} shifts").tolist()
+        ratio = None if sp["ratio"] is None else float(_decode(sp["ratio"], (), f"{where} ratio"))
+        sweeps.append(Sweep(dict(zip(names, losses)), dict(zip(names, shifts)), ratio, None))
+    return IterationRecord(i, float(_decode(rp["deviance"], (), f"{what} deviance")),
+                           float(_decode(rp["deviance_ratio"], (), f"{what} deviance_ratio")),
+                           sweeps)
 
 
 def _model_from_payload(payload: dict) -> FittedModel:
@@ -413,18 +420,14 @@ def _model_from_payload(payload: dict) -> FittedModel:
         tp["name"]: tuple(_decode([tp["train_min"], tp["train_max"]], (2,), "range").tolist())
         for tp in terms
     }
+    if not payload["trace"]:
+        raise ModelFileError("the stored trace is empty")
     trace = LocalScoringTrace(
-        iterations=[
-            IterationRecord(
-                iteration=int(rp["iteration"]),
-                deviance=float(rp["deviance"]),
-                deviance_ratio=float(rp["deviance_ratio"]),
-                per_term_epoch_losses=_decode_losses(rp["per_term_epoch_losses"], names),
-                timestamps=[],
-            )
-            for rp in payload["trace"]
-        ]
+        [_decode_iteration(i, rp, names) for i, rp in enumerate(payload["trace"], 1)]
     )
+    # each term's offset is its centering shift in the final sweep
+    for est in estimators:
+        est.offset = trace.iterations[-1].sweeps[-1].shifts[est.name]
     return FittedModel(
         formula=formula,
         family=make_family(config.family),

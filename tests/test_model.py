@@ -342,7 +342,7 @@ class TestHistoryShape:
         save_model(model, path)
         loaded = load_model(path).trace.history_rows()
         assert all(stamp == "" for stamp, *_ in loaded)
-        # the file sorts each iteration's terms by name; loading restores formula order
+        # the file keeps each sweep's losses in formula order, and so does the loaded model
         assert [row[1:] for row in loaded] == [row[1:] for row in model.trace.history_rows()]
 
     def test_loaded_summary_lists_terms_in_formula_order(self, model, tmp_path):
@@ -376,6 +376,46 @@ class TestHistoryShape:
             [term, str(epoch), repr(loss)] for _, term, epoch, loss in model.trace.history_rows()
         ]
         assert all(stamp for stamp, *_ in written)
+
+
+@pytest.fixture(scope="module", params=["gaussian", "binomial"])
+def sweep_model(request, mixed_model_and_data):
+    """A gaussian smooth+linear fit, or a 3-iteration binomial one of 2 sweeps each."""
+    if request.param == "gaussian":
+        return mixed_model_and_data[0]
+    from gannet.simulation import generate_binomial_fixture
+
+    fixture = generate_binomial_fixture(400, seed=13)
+    b = np.random.default_rng(14).uniform(-1, 1, 400)
+    data = Dataset({"x": fixture.column("x"), "b": b, "y": fixture.column("y")})
+    model = fit(data, "y ~ s(x) + b", cfg(family="binomial", num_units=(8,), max_iter_ls=3,
+                                          max_iter_backfitting=2, bf_threshold=1e-12,
+                                          ls_threshold=1e-12))
+    assert [len(rec.sweeps) for rec in model.trace.iterations] == [2, 2, 2]
+    return model
+
+
+class TestSweepRecord:
+    """Each backfitting sweep's record, as fitted and as a model file keeps it."""
+
+    def test_offset_is_the_final_shift_bit_for_bit(self, sweep_model, tmp_path):
+        save_model(sweep_model, tmp_path / "m.json")
+        for model in (sweep_model, load_model(tmp_path / "m.json")):
+            final = model.trace.iterations[-1].sweeps[-1]
+            assert [float.hex(est.offset) for est in model.estimators] == [
+                float.hex(final.shifts[est.name]) for est in model.estimators]
+
+    def test_round_trip_keeps_every_sweep(self, sweep_model, tmp_path):
+        def facts(model):
+            return [(rec.deviance, rec.deviance_ratio, [
+                (list(s.losses.items()), list(s.shifts.items()), s.ratio) for s in rec.sweeps
+            ]) for rec in model.trace.iterations]
+
+        save_model(sweep_model, tmp_path / "m.json")
+        loaded = load_model(tmp_path / "m.json")
+        assert facts(loaded) == facts(sweep_model)
+        assert sweep_model.trace.iterations[0].sweeps[0].ratio is None
+        assert all(s.timestamp is None for rec in loaded.trace.iterations for s in rec.sweeps)
 
 
 class TestConfig:

@@ -73,12 +73,18 @@ MALFORMED = [
     ("swapped_terms", ("terms",), lambda terms: terms.reverse()),
     ("linear_as_smooth", (), _set("formula", "y ~ s(x1) + s(x2)")),
     ("string_slope", ("terms", 1), _set("slope", "steep")),
-    ("string_loss", ("trace", 0, "per_term_epoch_losses"), _set("x1", ["low"])),
-    ("losses_as_list", ("trace", 0), _set("per_term_epoch_losses", [1.0])),
-    ("extra_loss_term", ("trace", 0, "per_term_epoch_losses"),
-     lambda losses: losses.__setitem__("nosuch", list(losses["x1"]))),
-    ("missing_loss_term", ("trace", 0, "per_term_epoch_losses"), lambda losses: losses.pop("x1")),
-    ("short_loss_list", ("trace", 0, "per_term_epoch_losses", "x2"), lambda losses: losses.pop()),
+    ("numeric_string_slope", ("terms", 1), _set("slope", "0.53")),
+    ("boolean_weight", ("terms", 0, "layers", 0, "weights", 0), _set(0, True)),
+    ("nan_deviance", ("trace", 0), _set("deviance", float("nan"))),
+    ("empty_trace", (), _set("trace", [])),
+    ("no_sweeps", ("trace", 0), _set("sweeps", [])),
+    ("string_loss", ("trace", 0, "sweeps", 0, "losses"), _set(0, "low")),
+    ("losses_as_list", ("trace", 0), _set("sweeps", [1.0])),
+    ("extra_loss_term", ("trace", 0, "sweeps", 0, "losses"), lambda losses: losses.append(0.5)),
+    ("missing_loss_term", ("trace", 0, "sweeps", 0, "losses"), lambda losses: losses.pop(0)),
+    ("short_loss_list", ("trace", 0, "sweeps", -1, "losses"), lambda losses: losses.pop()),
+    ("short_shift_list", ("trace", 0, "sweeps", -1, "shifts"), lambda shifts: shifts.pop()),
+    ("string_ratio", ("trace", 0, "sweeps", -1), _set("ratio", "small")),
     ("infinite_n", (), _set("n", float("inf"))),
     ("fractional_n", (), _set("n", 2.5)),
     ("negative_n", (), _set("n", -3)),
@@ -109,7 +115,7 @@ def test_malformed_payload_rejected(saved, tmp_path, capsys, path, edit):
     assert capsys.readouterr().err.startswith("gannet: error: ")
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_old_file_version_rejected(saved, tmp_path, capsys, version):
     payload, _ = saved
     model = tmp_path / f"v{version}.json"
