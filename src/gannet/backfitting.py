@@ -15,6 +15,7 @@ loss and centering shift, the change ratio and the time it ended.
 from __future__ import annotations
 
 import datetime as _dt
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import formula as _formula
 from . import nn_core
 from .config import FitConfig
-from .exceptions import DegenerateDataError
+from .exceptions import DegenerateDataError, NumericInstabilityError
 
 # rng stream tags: {seed, tag, term index} seeds each per-term generator
 INIT_STREAM = 101
@@ -233,7 +234,8 @@ def backfit(
     per local-scoring iteration. The first sweep from the all-zero state
     has a zero denominator, so its criterion is skipped and at least one
     full fitting pass always happens. Each sweep appends its record to
-    state.sweeps.
+    state.sweeps. A term whose training loss is not finite, such as a
+    squared residual that overflowed, raises NumericInstabilityError.
     """
     state.sweeps = []
     for _ in range(config.max_iter_backfitting):
@@ -242,7 +244,10 @@ def backfit(
         losses, shifts = {}, {}
         for j, est in enumerate(state.estimators):
             r = partial_residuals(z, state.alpha, state.estimators, j)
-            losses[est.name] = est.fit(covariates[est.name], r, w, config)
+            loss = est.fit(covariates[est.name], r, w, config)
+            if not math.isfinite(loss):
+                raise NumericInstabilityError(f"non-finite training loss for term {est.name!r}")
+            losses[est.name] = loss
             shifts[est.name] = center_term(est)
         ratio = fitted_change_ratio(prev, [e.fitted_values for e in state.estimators])
         state.sweeps.append(Sweep(losses, shifts, ratio, _dt.datetime.now()))

@@ -32,7 +32,7 @@ from .exceptions import (
     ModelFileError,
 )
 from .formula import parse_formula
-from .model import PREDICT_TYPES, fit, load_model, save_model, summarize
+from .model import PREDICT_TYPES, fit, fit_columns, load_model, save_model, summarize
 from .simulation import ScenarioSpec, generate_scenario
 from .svg import line_chart
 
@@ -78,10 +78,7 @@ def _from_args(settings: type, args):
 def cmd_train(args) -> int:
     config = _from_args(FitConfig, args)
     formula = parse_formula(args.formula)
-    needed = [formula.response, *formula.term_names]
-    if config.w_train is not None:
-        needed.append(config.w_train)
-    data = Dataset.from_csv(args.data, columns=needed)
+    data = Dataset.from_csv(args.data, columns=fit_columns(formula, config))
     model = fit(data, formula, config)
     save_model(model, args.model_out)
     if args.history_out:

@@ -5,8 +5,10 @@ working response and weights from the family tables, re-estimates the
 intercept as the weighted mean of the working response, and delegates the
 additive fit to backfitting. Convergence is judged by the relative drop
 in deviance; the identity-link Gaussian case needs no relinearization, so
-it runs exactly one iteration. An iteration's record keeps backfitting's
-`Sweep` list as written; `history_rows` walks it sweep by sweep.
+it runs exactly one iteration. The predictor, mean and deviance are
+evaluated once per state: the one a backfitting call leaves ends one
+iteration and starts the next. A record keeps the iteration's deviance
+and backfitting's `Sweep` list, not its working vectors.
 """
 
 from __future__ import annotations
@@ -24,18 +26,12 @@ from .formula import Formula
 
 @dataclass
 class IterationRecord:
-    """One local-scoring iteration: deviance bookkeeping and backfitting's
-    sweep records."""
+    """One local-scoring iteration (its number is its trace position plus one):
+    the deviance backfitting left, its relative drop and the sweep records."""
 
-    iteration: int
     deviance: float
     deviance_ratio: float
     sweeps: list[Sweep]
-    # working quantities kept for diagnostics; not serialized
-    eta: np.ndarray | None = None
-    mu: np.ndarray | None = None
-    z: np.ndarray | None = None
-    w: np.ndarray | None = None
 
     @property
     def per_term_epoch_losses(self) -> dict[str, list[float]]:
@@ -115,29 +111,25 @@ def local_scoring(
     state = BackfitState(alpha=alpha0, estimators=estimators)
     trace = LocalScoringTrace()
 
+    eta = state.alpha + state.fitted_sum()
+    mu = family.inverse_link(eta)
+    dev = family.deviance(y, mu)
     for l in range(1, config.max_iter_ls + 1):
-        eta = state.alpha + state.fitted_sum()
-        mu = family.inverse_link(eta)
         z = family.adjusted_dependent(y, eta, mu)
         w = family.irls_weights(mu) * w_ext
-        dev_before = family.deviance(y, mu)
-
         state.alpha = float(np.sum(w * z) / np.sum(w))
         backfit(state, z, w, covariates, config)
-
-        mu_new = family.inverse_link(state.alpha + state.fitted_sum())
-        dev = family.deviance(y, mu_new)
+        # the state backfit leaves ends this iteration and starts the next
+        eta = state.alpha + state.fitted_sum()
+        mu = family.inverse_link(eta)
+        dev_before, dev = dev, family.deviance(y, mu)
         ratio = deviance_ratio(dev_before, dev)
-        trace.iterations.append(IterationRecord(
-            iteration=l, deviance=dev, deviance_ratio=ratio, sweeps=state.sweeps,
-            eta=eta, mu=mu, z=z, w=w))
+        trace.iterations.append(IterationRecord(dev, ratio, state.sweeps))
         if config.verbose:
             print(
                 f"[gannet] local scoring iteration {l}: deviance={dev:.6g} "
                 f"ratio={ratio:.6g} sweeps={len(state.sweeps)}"
             )
-        if family.kind == GAUSSIAN:
-            break
-        if ratio < config.ls_threshold:
+        if family.kind == GAUSSIAN or ratio < config.ls_threshold:
             break
     return state, trace

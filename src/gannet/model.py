@@ -23,9 +23,10 @@ resume training.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -33,7 +34,8 @@ from . import nn_core
 from .backfitting import LinearTermEstimator, SmoothTermEstimator, Sweep
 from .config import FitConfig
 from .data import Dataset
-from .exceptions import ConfigError, DataValidationError, GannetError, ModelFileError
+from .exceptions import (ConfigError, DataValidationError, GannetError, ModelFileError,
+                         NumericInstabilityError)
 from .families import Family, make_family
 from .formula import SMOOTH, Formula, format_formula, parse_formula
 from .local_scoring import IterationRecord, LocalScoringTrace, local_scoring
@@ -44,37 +46,29 @@ FILE_VERSION = 5
 PREDICT_TYPES = ("link", "response", "terms")
 
 
+@dataclass(eq=False, repr=False)
 class FittedModel:
     """Result of :func:`fit`; immutable once constructed.
 
     `training_eta` is the additive predictor on the training rows, or
     None for a model loaded from file, which stores no training rows.
+    `terms` maps each term name to its estimator.
     """
 
-    def __init__(
-        self,
-        formula: Formula,
-        family: Family,
-        alpha: float,
-        estimators: list,
-        trace: LocalScoringTrace,
-        config: FitConfig,
-        n: int,
-        training_mse: float,
-        training_eta: np.ndarray | None,
-        term_ranges: dict[str, tuple[float, float]],
-    ):
-        self.formula = formula
-        self.family = family
-        self.alpha = alpha
-        self.estimators = estimators
-        self.terms = {est.name: est for est in estimators}
-        self.trace = trace
-        self.config = config
-        self.n = n
-        self.training_mse = training_mse
-        self.training_eta = training_eta
-        self.term_ranges = term_ranges
+    formula: Formula
+    family: Family
+    alpha: float
+    estimators: list
+    trace: LocalScoringTrace
+    config: FitConfig
+    n: int
+    training_mse: float
+    training_eta: np.ndarray | None
+    term_ranges: dict[str, tuple[float, float]]
+    terms: dict = field(init=False)
+
+    def __post_init__(self):
+        self.terms = {est.name: est for est in self.estimators}
 
     # ------------------------------------------------------------------
     # prediction
@@ -192,6 +186,15 @@ def summarize(model: FittedModel) -> str:
     return "\n".join(out)
 
 
+def fit_columns(formula: Formula, config: FitConfig) -> list[str]:
+    """The columns a fit reads: the response, each term's covariate and the
+    sample-weight column, if there is one."""
+    names = [formula.response, *formula.term_names]
+    if config.w_train is not None:
+        names.append(config.w_train)
+    return names
+
+
 def fit(data, formula, config: FitConfig) -> FittedModel:
     """Fit an additive neural model to the dataset.
 
@@ -204,10 +207,7 @@ def fit(data, formula, config: FitConfig) -> FittedModel:
     if isinstance(formula, str):
         formula = parse_formula(formula)
 
-    needed = [formula.response, *formula.term_names]
-    if config.w_train is not None:
-        needed.append(config.w_train)
-    data.require(needed)
+    data.require(fit_columns(formula, config))
 
     family = make_family(config.family)
     state, trace = local_scoring(data, formula, family, config)
@@ -267,8 +267,8 @@ def _estimator_payload(est, lo: float, hi: float) -> dict:
 
 
 def _trace_payload(trace: LocalScoringTrace) -> list:
-    # timestamps and working arrays are runtime diagnostics; excluding them
-    # keeps model files byte-identical across same-seed runs
+    # timestamps are runtime diagnostics; excluding them keeps model files
+    # byte-identical across same-seed runs
     return [
         {
             "deviance": rec.deviance,
@@ -303,7 +303,8 @@ def _canonical(payload: dict) -> str:
 
 
 def save_model(model: FittedModel, path) -> None:
-    """Write the model as checksummed JSON."""
+    """Write the model as checksummed JSON. A non-finite value, which the
+    loader would refuse, raises NumericInstabilityError before the file opens."""
     payload = _model_payload(model)
     digest = hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
     doc = {
@@ -312,9 +313,13 @@ def save_model(model: FittedModel, path) -> None:
         "sha256": digest,
         "model": payload,
     }
+    try:
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise NumericInstabilityError(f"{path}: not saved, the model holds a non-finite value "
+                                      f"({exc})") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path) -> FittedModel:
@@ -353,7 +358,11 @@ def load_model(path) -> FittedModel:
 def _decode(values, shape: tuple, what: str) -> np.ndarray:
     """Stored numbers as a float64 array of exactly `shape`, all finite."""
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iuf":
+    # numpy promotes a boolean among numbers to a number, so the types of the
+    # stored items are read too, in one pass that map and set make in C
+    rows = values if arr.ndim == 2 else [values] if arr.ndim == 1 else []
+    types = set(map(type, itertools.chain.from_iterable(rows)))
+    if arr.dtype.kind not in "iuf" or bool in types:
         raise ModelFileError(f"{what} holds values that are not numbers")
     if arr.shape != shape:
         raise ModelFileError(f"{what} has shape {arr.shape}, expected {shape}")
@@ -397,7 +406,7 @@ def _decode_iteration(i: int, rp: dict, names: list[str]) -> IterationRecord:
         shifts = _decode(sp["shifts"], (len(names),), f"{where} shifts").tolist()
         ratio = None if sp["ratio"] is None else float(_decode(sp["ratio"], (), f"{where} ratio"))
         sweeps.append(Sweep(dict(zip(names, losses)), dict(zip(names, shifts)), ratio, None))
-    return IterationRecord(i, float(_decode(rp["deviance"], (), f"{what} deviance")),
+    return IterationRecord(float(_decode(rp["deviance"], (), f"{what} deviance")),
                            float(_decode(rp["deviance_ratio"], (), f"{what} deviance_ratio")),
                            sweeps)
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,33 @@ class TestTrain:
         )
         assert rc == 2
         assert "gannet: error:" in capsys.readouterr().err
+
+    def test_overflowing_loss_exit_1_without_model_file(self, tmp_path, capsys):
+        # squared residuals of y = 1e160 x overflow; a fit whose loss is not
+        # finite is an error, not a model file that the loader refuses
+        x = np.random.default_rng(0).uniform(-1, 1, 200)
+        rows = "".join(f"{float(v)!r},{float(1e160 * v)!r}\n" for v in x)
+        (tmp_path / "huge.csv").write_text("x,y\n" + rows)
+        with warnings.catch_warnings():
+            # numpy's overflow warnings print as `gannet: warning:` lines
+            warnings.simplefilter("default", RuntimeWarning)
+            rc = main(
+                [
+                    "train",
+                    "--data", str(tmp_path / "huge.csv"),
+                    "--formula", "y ~ s(x)",
+                    "--num-units", "8",
+                    "--max-iter-backfitting", "2",
+                    "--seed", "1",
+                    "--model-out", str(tmp_path / "huge.json"),
+                ]
+            )
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("gannet: warning: overflow") for line in err)
+        errors = [line for line in err if line.startswith("gannet: error:")]
+        assert len(errors) == 1 and "'x'" in errors[0]
+        assert not (tmp_path / "huge.json").exists()
 
     def test_bad_formula_exit_2(self, sim_dir, tmp_path, capsys):
         rc = main(

@@ -1,8 +1,10 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+import gannet.local_scoring
 from gannet.config import FitConfig
 from gannet.data import Dataset
 from gannet.exceptions import DataValidationError, DegenerateDataError
@@ -16,6 +18,55 @@ def cfg(**kw):
     defaults = dict(num_units=(16,), seed=1, verbose=0, learning_rate=0.01)
     defaults.update(kw)
     return FitConfig(**defaults)
+
+
+class BackfitCall(NamedTuple):
+    alpha: float  # the intercept local scoring set before the call
+    z: np.ndarray
+    w: np.ndarray
+    eta_after: np.ndarray  # alpha + sum of the term fits the call left
+
+
+@pytest.fixture
+def backfit_calls(monkeypatch):
+    """Every backfit call local scoring makes, in order: the working response
+    and weights it was given, and the predictor it left, which the next
+    iteration linearizes at."""
+    calls = []
+    real_backfit = gannet.local_scoring.backfit
+
+    def spy(state, z, w, covariates, config):
+        alpha = state.alpha
+        result = real_backfit(state, z, w, covariates, config)
+        calls.append(BackfitCall(alpha, z, w, state.alpha + state.fitted_sum()))
+        return result
+
+    monkeypatch.setattr(gannet.local_scoring, "backfit", spy)
+    return calls
+
+
+def assert_alpha_is_weighted_mean(call):
+    assert call.alpha == pytest.approx(float(np.sum(call.w * call.z) / np.sum(call.w)), rel=1e-12)
+
+
+def assert_logistic_working_quantities(calls, y, clamp):
+    """Each call's z, w and alpha against their closed forms at the predictor
+    its iteration started from: logit(mean y) first, then the one the
+    previous call left."""
+    p = float(np.mean(y))
+    eta = np.full(len(y), math.log(p / (1.0 - p)))
+    # the clamp keeps mu in [c, 1 - c], so every weight mu (1 - mu) is at
+    # least c (1 - c), up to the rounding of 1 - (1 - c)
+    w_floor = clamp * (1.0 - clamp) * (1.0 - 1e-9)
+    for call in calls:
+        mu = np.clip(1.0 / (1.0 + np.exp(-eta)), clamp, 1.0 - clamp)
+        z = eta + (y - mu) / (mu * (1.0 - mu))
+        w = mu * (1.0 - mu)
+        np.testing.assert_allclose(call.z, z, atol=1e-12)
+        np.testing.assert_allclose(call.w, w, atol=1e-12)
+        assert np.all(call.w >= w_floor)
+        assert_alpha_is_weighted_mean(call)
+        eta = call.eta_after
 
 
 class TestDevianceRatio:
@@ -47,23 +98,26 @@ class TestGaussianRun:
         # after the single iteration alpha equals the mean of z = y
         assert state.alpha == pytest.approx(float(np.mean(data.column("y"))), rel=1e-12)
 
-    def test_exactly_one_iteration_regardless_of_thresholds(self):
+    def test_exactly_one_iteration_regardless_of_thresholds(self, backfit_calls):
         data = self.make_data()
         for ls_threshold in (1e-12, 0.1, 100.0):
+            backfit_calls.clear()
             _, trace = local_scoring(
                 data,
                 parse_formula("y ~ s(x)"),
                 Gaussian(),
                 cfg(ls_threshold=ls_threshold, max_iter_ls=10),
             )
-            assert [rec.iteration for rec in trace.iterations] == [1]
+            assert len(trace.iterations) == 1
+            assert len(backfit_calls) == 1
 
-    def test_working_response_is_identity(self):
+    def test_working_response_is_identity(self, backfit_calls):
         data = self.make_data()
-        _, trace = local_scoring(data, parse_formula("y ~ s(x)"), Gaussian(), cfg())
-        rec = trace.iterations[0]
-        np.testing.assert_array_equal(rec.z, data.column("y"))
-        np.testing.assert_array_equal(rec.w, np.ones(data.n))
+        local_scoring(data, parse_formula("y ~ s(x)"), Gaussian(), cfg())
+        (call,) = backfit_calls
+        np.testing.assert_array_equal(call.z, data.column("y"))
+        np.testing.assert_array_equal(call.w, np.ones(data.n))
+        assert_alpha_is_weighted_mean(call)
 
     def test_constant_response_rejected(self):
         data = Dataset({"x": np.arange(10.0), "y": np.full(10, 3.0)})
@@ -75,17 +129,18 @@ class TestGaussianRun:
         with pytest.raises(DataValidationError):
             local_scoring(data, parse_formula("y ~ s(x)"), Gaussian(), cfg())
 
-    def test_external_weights_multiply(self):
+    def test_external_weights_multiply(self, backfit_calls):
         n = 300
         rng = np.random.default_rng(9)
         x = rng.uniform(-2, 2, n)
         y = 2.0 * x + rng.normal(0, 0.1, n)
         w = rng.uniform(0.5, 2.0, n)
         data = Dataset({"x": x, "y": y, "wt": w})
-        _, trace = local_scoring(
-            data, parse_formula("y ~ x"), Gaussian(), cfg(w_train="wt")
-        )
-        np.testing.assert_allclose(trace.iterations[0].w, w, rtol=1e-15)
+        local_scoring(data, parse_formula("y ~ x"), Gaussian(), cfg(w_train="wt"))
+        (call,) = backfit_calls
+        np.testing.assert_allclose(call.w, w, rtol=1e-15)
+        np.testing.assert_array_equal(call.z, y)
+        assert_alpha_is_weighted_mean(call)
 
     def test_bad_weights_rejected(self):
         data = Dataset(
@@ -96,22 +151,26 @@ class TestGaussianRun:
 
 
 class TestBinomialRun:
-    def test_alpha_initialized_to_logit_of_mean(self):
+    def test_alpha_initialized_to_logit_of_mean(self, backfit_calls):
         n = 200
         rng = np.random.default_rng(2)
         x = rng.uniform(-1, 1, n)
         y = np.zeros(n)
         y[: n // 2] = 1.0  # mean exactly 0.5 -> logit 0
         data = Dataset({"x": x, "y": y})
-        _, trace = local_scoring(
+        local_scoring(
             data,
             parse_formula("y ~ s(x)"),
             Binomial(),
             cfg(max_iter_ls=1, max_iter_backfitting=1),
         )
-        rec = trace.iterations[0]
-        # iteration 1 worked from eta = logit(mean(y)) = 0
-        np.testing.assert_allclose(rec.eta, 0.0, atol=1e-12)
+        (call,) = backfit_calls
+        # iteration 1 worked from eta = logit(mean(y)) = 0: mu = 1/2, w = 1/4
+        # and z = 0 + (y - 1/2) / (1/4)
+        np.testing.assert_allclose(call.z, (y - 0.5) / 0.25, atol=1e-12)
+        np.testing.assert_allclose(call.w, 0.25, atol=1e-12)
+        assert_alpha_is_weighted_mean(call)
+        assert call.alpha == pytest.approx(0.0, abs=1e-12)
 
     def test_response_validation(self):
         data = Dataset({"x": np.arange(6.0), "y": np.array([0, 1, 2.0, 0, 1, 0])})
@@ -139,23 +198,26 @@ class TestBinomialRun:
         )
         assert len(trace.iterations) <= 4
 
-    def test_working_quantities_match_independent_reevaluation(self):
+    def test_working_quantities_match_independent_reevaluation(self, backfit_calls):
         data = generate_binomial_fixture(800, seed=7)
         fam = Binomial()
         _, trace = local_scoring(
             data, parse_formula("y ~ s(x)"), fam, cfg(num_units=(16,), max_iter_ls=3)
         )
-        y = data.column("y")
-        for rec in trace.iterations:
-            mu = 1.0 / (1.0 + np.exp(-rec.eta))
-            mu = np.clip(mu, fam.mu_clamp, 1.0 - fam.mu_clamp)
-            z = rec.eta + (y - mu) / (mu * (1.0 - mu))
-            w = mu * (1.0 - mu)
-            np.testing.assert_allclose(rec.mu, mu, atol=1e-12)
-            np.testing.assert_allclose(rec.z, z, atol=1e-12)
-            np.testing.assert_allclose(rec.w, w, atol=1e-12)
-            assert np.all(rec.mu >= fam.mu_clamp)
-            assert np.all(rec.mu <= 1.0 - fam.mu_clamp)
+        assert len(backfit_calls) == len(trace.iterations)
+        assert_logistic_working_quantities(backfit_calls, data.column("y"), fam.mu_clamp)
+
+    def test_clamp_bounds_the_weights_of_separable_data(self, backfit_calls):
+        # y = [x > 0] is separable, so the linear fit's |eta| grows every
+        # iteration until the clamp holds some means at 1e-5 and 1 - 1e-5
+        x = np.random.default_rng(0).uniform(-1, 1, 200)
+        y = (x > 0).astype(np.float64)
+        fam = Binomial()
+        local_scoring(Dataset({"x": x, "y": y}), parse_formula("y ~ x"), fam,
+                      cfg(max_iter_ls=8, ls_threshold=1e-12))
+        assert len(backfit_calls) == 8
+        assert min(call.w.min() for call in backfit_calls) < fam.mu_clamp
+        assert_logistic_working_quantities(backfit_calls, y, fam.mu_clamp)
 
     def test_trace_history_rows_accumulate_epochs(self):
         data = generate_binomial_fixture(500, seed=13)

@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +13,7 @@ from gannet.exceptions import (
     DataValidationError,
     DegenerateDataError,
     ModelFileError,
+    NumericInstabilityError,
 )
 from gannet.model import fit, load_model, save_model, summarize
 
@@ -247,6 +248,14 @@ class TestSerialization:
             save_model(fit(data, "y ~ s(x) + z", cfg(max_iter_backfitting=2)), path)
             sizes.append(path.stat().st_size)
         assert abs(sizes[1] - sizes[0]) <= 100, sizes
+
+    def test_non_finite_model_not_written(self, mixed_model_and_data, tmp_path):
+        # the loader refuses a non-finite number, so the writer never writes one
+        model, _ = mixed_model_and_data
+        path = tmp_path / "m.json"
+        with pytest.raises(NumericInstabilityError, match="non-finite"):
+            save_model(replace(model, training_mse=float("inf")), path)
+        assert not path.exists()
 
     def test_truncated_file_rejected(self, mixed_model_and_data, tmp_path):
         model, _ = mixed_model_and_data

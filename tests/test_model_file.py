@@ -75,6 +75,7 @@ MALFORMED = [
     ("string_slope", ("terms", 1), _set("slope", "steep")),
     ("numeric_string_slope", ("terms", 1), _set("slope", "0.53")),
     ("boolean_weight", ("terms", 0, "layers", 0, "weights", 0), _set(0, True)),
+    ("boolean_in_float_row", ("terms", 0, "layers", 2, "weights", 0), _set(0, True)),
     ("nan_deviance", ("trace", 0), _set("deviance", float("nan"))),
     ("empty_trace", (), _set("trace", [])),
     ("no_sweeps", ("trace", 0), _set("sweeps", [])),
