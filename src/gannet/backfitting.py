@@ -45,21 +45,6 @@ class SmoothTermEstimator:
         self.fitted_values = np.zeros(n_rows)
         self.offset = 0.0
 
-    @classmethod
-    def from_parts(cls, name: str, net) -> "SmoothTermEstimator":
-        """Rebuild from stored parameters; prediction only (no optimizer).
-
-        `fit` leaves the estimators of the model it returns in this state.
-        """
-        est = cls.__new__(cls)
-        est.name = name
-        est.net = net
-        est.adam = None
-        est.shuffle_rng = None
-        est.fitted_values = np.zeros(0)
-        est.offset = 0.0
-        return est
-
     def fit(self, x, residuals, weights, config: FitConfig) -> float:
         """Train for the configured epochs; refresh raw fitted values."""
         if self.adam is None:
@@ -99,16 +84,6 @@ class LinearTermEstimator:
         self.x_center = 0.0
         self.fitted_values = np.zeros(n_rows)
         self.offset = 0.0
-
-    @classmethod
-    def from_parts(cls, name: str, slope: float, x_center: float) -> "LinearTermEstimator":
-        est = cls.__new__(cls)
-        est.name = name
-        est.slope = float(slope)
-        est.x_center = float(x_center)
-        est.fitted_values = np.zeros(0)
-        est.offset = 0.0
-        return est
 
     def fit(self, x, residuals, weights, config: FitConfig) -> float:
         """Exact WLS slope with the intercept absorbed by centering."""
@@ -164,7 +139,7 @@ def partial_residuals(z, alpha: float, estimators, skip_index: int) -> np.ndarra
 def center_term(est) -> float:
     """Shift the fitted values to unweighted mean zero; fold the shift into
     the estimator's prediction offset. Returns the subtracted constant."""
-    shift = float(np.mean(est.fitted_values)) if len(est.fitted_values) else 0.0
+    shift = float(np.mean(est.fitted_values))
     est.fitted_values = est.fitted_values - shift
     est.offset += shift
     return shift

@@ -13,7 +13,6 @@ as predicting outside a term's training range, prints one
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 import typing
@@ -208,7 +207,6 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(format="%(message)s", level=logging.INFO)
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning

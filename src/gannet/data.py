@@ -2,7 +2,7 @@
 
 A Dataset is a mapping of column names to equal-length float64 vectors.
 CSV loading drops any row with a missing value in the requested columns
-and reports the count; a non-numeric token that is not a missing-value
+and warns with the count; a non-numeric token that is not a missing-value
 marker is an error naming the column and line, and so is a header that
 names a requested column twice.
 """
@@ -10,14 +10,12 @@ names a requested column twice.
 from __future__ import annotations
 
 import csv
-import logging
+import warnings
 from array import array
 
 import numpy as np
 
 from .exceptions import DataValidationError
-
-logger = logging.getLogger(__name__)
 
 _MISSING = {"", "na", "nan", "null"}
 
@@ -71,8 +69,8 @@ class Dataset:
     def from_csv(cls, path, columns=None) -> "Dataset":
         """Load a header-ed CSV, keeping `columns` (default: all).
 
-        Rows with missing values in the kept columns are dropped and the
-        count logged and stored in ``n_dropped``.
+        Rows with missing values in the kept columns are dropped; their
+        count is reported in a warning and stored in ``n_dropped``.
         """
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -124,7 +122,8 @@ class Dataset:
                     n_dropped += 1
 
         if n_dropped:
-            logger.warning("%s: dropped %d row(s) with missing values", path, n_dropped)
+            warnings.warn(f"{path}: dropped {n_dropped} row(s) with missing values",
+                          stacklevel=2)
         data = np.frombuffer(values, dtype=np.float64)
         ds = cls({name: data[j::len(keep)] for j, name in enumerate(keep)})
         ds.n_dropped = n_dropped

@@ -7,31 +7,29 @@ also keeps its fitted values and final additive predictor on the
 training rows, so `predict()` without data answers for those rows.
 
 Model files are JSON with a content checksum. They hold the model, not
-the training rows, and store each quantity once: the subnetwork
-architecture is rebuilt from the stored config, the family from the
-config's `family` name alone, and each term's kind from the stored
-formula. The trace holds one record per backfitting sweep, each term's
-loss and centering shift as lists in formula order; a term's offset is
-its shift in the final sweep, so it is not stored again. Floats are
-written with full round-trip precision, so a loaded model predicts
-bit-identically to the original on the same data; it needs that data
-passed in. Optimizer state is neither saved nor kept by
-the model `fit` returns; a fitted or loaded model predicts but does not
-resume training.
+the training rows, and store each quantity once. The loader builds each
+term the way `fit` does, from the stored formula and config, then copies
+in the stored state: a subnetwork's `params` vector (each layer's weights
+then biases) or a linear term's slope and center. The family comes from
+the config's `family` name alone. The trace holds one record per
+backfitting sweep, each term's loss and centering shift as lists in
+formula order; a term's offset is its shift in the final sweep, so it is
+not stored again. Floats are written with full round-trip precision, so
+a loaded model predicts bit-identically to the original on the same
+data; it needs that data passed in. A model, fitted or loaded, keeps no
+optimizer state: it predicts but does not resume training.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import nn_core
-from .backfitting import LinearTermEstimator, SmoothTermEstimator, Sweep
+from .backfitting import Sweep, make_estimator
 from .config import FitConfig
 from .data import Dataset
 from .exceptions import (ConfigError, DataValidationError, GannetError, ModelFileError,
@@ -41,7 +39,7 @@ from .formula import SMOOTH, Formula, format_formula, parse_formula
 from .local_scoring import IterationRecord, LocalScoringTrace, local_scoring
 
 FILE_FORMAT = "gannet-model"
-FILE_VERSION = 5
+FILE_VERSION = 6
 
 PREDICT_TYPES = ("link", "response", "terms")
 
@@ -52,11 +50,12 @@ class FittedModel:
 
     `training_eta` is the additive predictor on the training rows, or
     None for a model loaded from file, which stores no training rows.
-    `terms` maps each term name to its estimator.
+    `family` is built from `config.family`, and `terms` maps each term name
+    to its estimator. A model predicts but never resumes training, so the
+    smooth terms' optimizer state is dropped here.
     """
 
     formula: Formula
-    family: Family
     alpha: float
     estimators: list
     trace: LocalScoringTrace
@@ -65,18 +64,23 @@ class FittedModel:
     training_mse: float
     training_eta: np.ndarray | None
     term_ranges: dict[str, tuple[float, float]]
+    family: Family = field(init=False)
     terms: dict = field(init=False)
 
     def __post_init__(self):
+        self.family = make_family(self.config.family)
         self.terms = {est.name: est for est in self.estimators}
+        for est in self.estimators:
+            if est.kind == SMOOTH:
+                est.adam = est.shuffle_rng = None
 
     # ------------------------------------------------------------------
     # prediction
     # ------------------------------------------------------------------
 
-    def predict(self, newdata: Dataset | None = None, type: str = "link",
-                terms=None) -> np.ndarray:
-        """Predict on `newdata`, or on the training rows when it is None.
+    def predict(self, newdata=None, type: str = "link", terms=None) -> np.ndarray:
+        """Predict on `newdata`, a Dataset or a mapping of column names to
+        vectors, or on the training rows when it is None.
 
         type='terms' returns one column per requested term, in request
         order, including each term's training centering offset;
@@ -94,6 +98,8 @@ class FittedModel:
             raise DataValidationError(
                 "a model loaded from file stores no training rows; pass the data to predict on"
             )
+        if newdata is not None and not isinstance(newdata, Dataset):
+            newdata = Dataset(newdata)
 
         cols = []
         for name in self.term_subset(terms):  # not a comprehension: see _term_column
@@ -217,10 +223,6 @@ def fit(data, formula, config: FitConfig) -> FittedModel:
         name: (float(np.min(data.column(name))), float(np.max(data.column(name))))
         for name in formula.term_names
     }
-    for est in state.estimators:
-        if est.kind == SMOOTH:
-            # a model predicts but never resumes training: drop the optimizer
-            est.adam = est.shuffle_rng = None
     cols = [est.fitted_values for est in state.estimators]
     training_eta = state.alpha + np.sum(np.column_stack(cols), axis=1)
     mu = family.inverse_link(training_eta)
@@ -228,7 +230,6 @@ def fit(data, formula, config: FitConfig) -> FittedModel:
 
     return FittedModel(
         formula=formula,
-        family=family,
         alpha=state.alpha,
         estimators=state.estimators,
         trace=trace,
@@ -256,10 +257,7 @@ def _estimator_payload(est, lo: float, hi: float) -> dict:
         "train_max": hi,
     }
     if est.kind == SMOOTH:
-        base["layers"] = [
-            {"weights": _floats(layer.weights), "biases": _floats(layer.biases)}
-            for layer in est.net.layers
-        ]
+        base["params"] = _floats(est.net.params)
     else:
         base["slope"] = float(est.slope)
         base["x_center"] = float(est.x_center)
@@ -360,9 +358,8 @@ def _decode(values, shape: tuple, what: str) -> np.ndarray:
     arr = np.asarray(values)
     # numpy promotes a boolean among numbers to a number, so the types of the
     # stored items are read too, in one pass that map and set make in C
-    rows = values if arr.ndim == 2 else [values] if arr.ndim == 1 else []
-    types = set(map(type, itertools.chain.from_iterable(rows)))
-    if arr.dtype.kind not in "iuf" or bool in types:
+    items = values if isinstance(values, list) else [values]
+    if arr.dtype.kind not in "iuf" or bool in set(map(type, items)):
         raise ModelFileError(f"{what} holds values that are not numbers")
     if arr.shape != shape:
         raise ModelFileError(f"{what} has shape {arr.shape}, expected {shape}")
@@ -371,26 +368,16 @@ def _decode(values, shape: tuple, what: str) -> np.ndarray:
     return arr.astype(np.float64)
 
 
-def _decode_estimator(term, tp: dict, config: FitConfig):
-    name = term.name
+def _decode_estimator(term, index: int, tp: dict, config: FitConfig, offset: float):
+    """Term `index` built as `fit` builds it, holding its stored state."""
+    est = make_estimator(term, config, index, 0)
+    what = f"term {term.name!r}"
     if term.kind == SMOOTH:
-        plan = nn_core.layer_plan(config.num_units, config.activation)
-        if len(tp["layers"]) != len(plan):
-            raise ModelFileError(f"term {name!r} has {len(tp['layers'])} layers, not {len(plan)}")
-        layers = []
-        for k, ((fan_in, fan_out, act), lp) in enumerate(zip(plan, tp["layers"])):
-            what = f"term {name!r} layer {k}"
-            weights = _decode(lp["weights"], (fan_out, fan_in), f"{what} weights")
-            biases = _decode(lp["biases"], (fan_out,), f"{what} biases")
-            layers.append(nn_core.DenseLayer(weights, biases, act))
-        net = nn_core.SubNetwork(layers)
-        est = SmoothTermEstimator.from_parts(name, net)
+        est.net.params[:] = _decode(tp["params"], est.net.params.shape, f"{what} params")
     else:
-        est = LinearTermEstimator.from_parts(
-            name,
-            float(_decode(tp["slope"], (), f"term {name!r} slope")),
-            float(_decode(tp["x_center"], (), f"term {name!r} x_center")),
-        )
+        est.slope = float(_decode(tp["slope"], (), f"{what} slope"))
+        est.x_center = float(_decode(tp["x_center"], (), f"{what} x_center"))
+    est.offset = offset
     return est
 
 
@@ -422,9 +409,6 @@ def _model_from_payload(payload: dict) -> FittedModel:
     names = [tp["name"] for tp in terms]
     if names != list(formula.term_names):
         raise ModelFileError(f"stored terms {names} do not match the formula's terms")
-    estimators = [
-        _decode_estimator(term, tp, config) for term, tp in zip(formula.terms, terms)
-    ]
     term_ranges = {
         tp["name"]: tuple(_decode([tp["train_min"], tp["train_max"]], (2,), "range").tolist())
         for tp in terms
@@ -435,11 +419,13 @@ def _model_from_payload(payload: dict) -> FittedModel:
         [_decode_iteration(i, rp, names) for i, rp in enumerate(payload["trace"], 1)]
     )
     # each term's offset is its centering shift in the final sweep
-    for est in estimators:
-        est.offset = trace.iterations[-1].sweeps[-1].shifts[est.name]
+    shifts = trace.iterations[-1].sweeps[-1].shifts
+    estimators = [
+        _decode_estimator(term, j, tp, config, shifts[term.name])
+        for j, (term, tp) in enumerate(zip(formula.terms, terms))
+    ]
     return FittedModel(
         formula=formula,
-        family=make_family(config.family),
         alpha=float(_decode(payload["alpha"], (), "alpha")),
         estimators=estimators,
         trace=trace,

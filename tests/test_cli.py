@@ -258,6 +258,30 @@ class TestTrain:
         assert len(errors) == 1 and "'x'" in errors[0]
         assert not (tmp_path / "huge.json").exists()
 
+    def test_dropped_row_warns_in_one_line(self, sim_dir, tmp_path, capsys):
+        lines = (sim_dir / "train.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[1].split(",")
+        cells[header.index("x1")] = ""
+        lines[1] = ",".join(cells)
+        (tmp_path / "gap.csv").write_text("\n".join(lines) + "\n")
+        rc = main(
+            [
+                "train",
+                "--data", str(tmp_path / "gap.csv"),
+                "--formula", "y ~ s(x1) + x2",
+                "--num-units", "4",
+                "--max-iter-backfitting", "1",
+                "--seed", "1",
+                "--model-out", str(tmp_path / "m.json"),
+            ]
+        )
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("gannet: warning: ")
+        assert err[0].endswith("gap.csv: dropped 1 row(s) with missing values")
+
     def test_bad_formula_exit_2(self, sim_dir, tmp_path, capsys):
         rc = main(
             [

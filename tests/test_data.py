@@ -51,7 +51,8 @@ class TestCsvRoundTrip:
     def test_missing_values_dropped_with_count(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b\n1,2\n,3\n4,NA\n5,6\n")
-        ds = Dataset.from_csv(path)
+        with pytest.warns(UserWarning, match="dropped 2 row"):
+            ds = Dataset.from_csv(path)
         assert ds.n == 2
         assert ds.n_dropped == 2
         np.testing.assert_array_equal(ds.column("a"), [1.0, 5.0])

@@ -133,6 +133,13 @@ class TestPredict:
         assert model.predict(empty, type="response").shape == (0,)
         assert model.predict(empty, type="terms").shape == (0, 1)
 
+    def test_accepts_plain_mapping(self, mixed_model_and_data):
+        model, data = mixed_model_and_data
+        mapping = {name: data.column(name) for name in ("x1", "x2")}
+        for type in ("link", "response", "terms"):
+            np.testing.assert_array_equal(model.predict(mapping, type=type),
+                                          model.predict(data, type=type))
+
     def test_unknown_term_rejected(self, mixed_model_and_data):
         model, data = mixed_model_and_data
         with pytest.raises(DataValidationError, match="nope"):
@@ -228,6 +235,19 @@ class TestSerialization:
         )
         assert loaded.terms["x2"].slope == model.terms["x2"].slope
         assert loaded.alpha == model.alpha
+
+    @pytest.mark.parametrize("num_units", [(1024,), (16, 16)], ids=["1024", "16x16"])
+    def test_roundtrip_bitwise_at_width(self, num_units, tmp_path):
+        rng = np.random.default_rng(6)
+        x, z = rng.uniform(-2, 2, 300), rng.uniform(-2, 2, 300)
+        data = Dataset({"x": x, "z": z, "y": np.sin(x) + z + rng.normal(0, 0.1, 300)})
+        model = fit(data, "y ~ s(x) + z", cfg(num_units=num_units, max_iter_backfitting=2))
+        save_model(model, tmp_path / "m.json")
+        loaded = load_model(tmp_path / "m.json")
+        np.testing.assert_array_equal(loaded.terms["x"].net.params, model.terms["x"].net.params)
+        for type in ("link", "response", "terms"):
+            np.testing.assert_array_equal(loaded.predict(data, type=type),
+                                          model.predict(data, type=type))
 
     def test_same_seed_identical_files(self, tmp_path):
         rng = np.random.default_rng(2)

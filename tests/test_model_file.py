@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from gannet.cli import main
 from gannet.config import FitConfig
 from gannet.data import Dataset
-from gannet.exceptions import DataValidationError, ModelFileError
+from gannet.exceptions import DataValidationError, GannetError, ModelFileError
 from gannet.model import FILE_FORMAT, FILE_VERSION, fit, load_model, save_model
 
 
@@ -53,13 +53,19 @@ def _set(key, value):
     return lambda node: node.__setitem__(key, value)
 
 
-# (id, path to the edited node, edit)
+# (id, path to the edited node, edit). The smooth term x1 has 3 units, so its
+# params vector is input weight and bias (items 0-1), hidden weights and biases
+# (2-7), then output weights (8-10) and output bias (11): truncated_bias drops
+# the output bias, transposed_weights stores the vector as a column,
+# missing_layer drops the output layer and boolean_in_float_row puts a boolean
+# among the output weights.
 MALFORMED = [
-    ("truncated_bias", ("terms", 0, "layers", 1), lambda lp: lp["biases"].pop()),
-    ("transposed_weights", ("terms", 0, "layers", 1),
-     lambda lp: lp.__setitem__("weights", np.asarray(lp["weights"]).T.tolist())),
-    ("null_weight", ("terms", 0, "layers", 2, "weights", 0), _set(0, None)),
-    ("missing_layer", ("terms", 0, "layers"), lambda layers: layers.pop()),
+    ("truncated_bias", ("terms", 0, "params"), lambda params: params.pop()),
+    ("transposed_weights", ("terms", 0),
+     lambda tp: tp.__setitem__("params", [[v] for v in tp["params"]])),
+    ("null_weight", ("terms", 0, "params"), _set(0, None)),
+    ("missing_layer", ("terms", 0, "params"), lambda params: params.__delitem__(slice(8, None))),
+    ("extra_param", ("terms", 0, "params"), lambda params: params.append(0.5)),
     ("missing_alpha", (), lambda p: p.pop("alpha")),
     ("terms_as_string", (), _set("terms", "x1")),
     ("unknown_family", ("config",), _set("family", "poisson")),
@@ -74,8 +80,8 @@ MALFORMED = [
     ("linear_as_smooth", (), _set("formula", "y ~ s(x1) + s(x2)")),
     ("string_slope", ("terms", 1), _set("slope", "steep")),
     ("numeric_string_slope", ("terms", 1), _set("slope", "0.53")),
-    ("boolean_weight", ("terms", 0, "layers", 0, "weights", 0), _set(0, True)),
-    ("boolean_in_float_row", ("terms", 0, "layers", 2, "weights", 0), _set(0, True)),
+    ("boolean_weight", ("terms", 0, "params"), _set(0, True)),
+    ("boolean_in_float_row", ("terms", 0, "params"), _set(8, True)),
     ("nan_deviance", ("trace", 0), _set("deviance", float("nan"))),
     ("empty_trace", (), _set("trace", [])),
     ("no_sweeps", ("trace", 0), _set("sweeps", [])),
@@ -116,7 +122,7 @@ def test_malformed_payload_rejected(saved, tmp_path, capsys, path, edit):
     assert capsys.readouterr().err.startswith("gannet: error: ")
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_old_file_version_rejected(saved, tmp_path, capsys, version):
     payload, _ = saved
     model = tmp_path / f"v{version}.json"
@@ -218,3 +224,54 @@ def test_fuzzed_payload_exit_codes(saved, data):
         warnings.simplefilter("ignore")  # out-of-range and overflow warnings
         for argv in commands:
             assert main(argv) in (0, 2), argv
+
+
+# ----------------------------------------------------------------------
+# extreme scales: a fit either raises or saves a model that loads exactly
+# ----------------------------------------------------------------------
+
+MAGNITUDE = st.integers(-300, 300).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def extreme_fit(draw):
+    """Tiny data at scales from 1e-300 to 1e300, with one of: a gaussian
+    response, a single nonzero sample weight, or a binomial response with
+    a single positive."""
+    n = draw(st.integers(2, 6))
+    unit = st.floats(-1, 1, allow_subnormal=False)
+    x = draw(MAGNITUDE) * np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    y = draw(MAGNITUDE) * np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    columns = {"x": x, "y": y}
+    options = dict(num_units=(4,), seed=1, verbose=0, max_iter_backfitting=2, max_iter_ls=2)
+    case = draw(st.sampled_from(["gaussian", "one_weight", "one_positive"]))
+    if case == "one_weight":
+        columns["w"] = np.zeros(n)
+        columns["w"][draw(st.integers(0, n - 1))] = draw(MAGNITUDE)
+        options["w_train"] = "w"
+    elif case == "one_positive":
+        columns["y"] = np.zeros(n)
+        columns["y"][draw(st.integers(0, n - 1))] = 1.0
+        options["family"] = "binomial"
+    formula = draw(st.sampled_from(["y ~ s(x)", "y ~ x"]))
+    return Dataset(columns), formula, FitConfig(**options)
+
+
+@settings(max_examples=96, deadline=None, derandomize=True)
+@given(case=extreme_fit())
+def test_extreme_scale_fit_raises_or_round_trips(tmp_path_factory, case):
+    # the error may come from save_model, which refuses a non-finite value such
+    # as the training MSE of a response near 1e300 that carries no weight
+    data, formula, config = case
+    path = tmp_path_factory.mktemp("extreme") / "m.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # overflow on the way to an error
+        try:
+            model = fit(data, formula, config)
+            save_model(model, path)
+        except GannetError:
+            return
+        loaded = load_model(path)
+        for type in ("link", "response", "terms"):
+            np.testing.assert_array_equal(loaded.predict(data, type=type),
+                                          model.predict(data, type=type))
