@@ -117,7 +117,7 @@ def cmd_partial_effects(args) -> int:
     if args.data:
         ds = Dataset.from_csv(args.data, columns=names)
         for name in names:
-            col = ds.column(name)
+            col = ds.covariate(name)
             if col.size == 0:
                 raise DataValidationError(f"{args.data}: no rows for term {name!r}")
             ranges[name] = (float(np.min(col)), float(np.max(col)))

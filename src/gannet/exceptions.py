@@ -23,7 +23,7 @@ class DataValidationError(GannetError):
     """Input data violates a precondition (missing column, bad values, ...)."""
 
 
-class DegenerateDataError(GannetError):
+class DegenerateDataError(DataValidationError):
     """Data admits no meaningful fit (constant response, zero-variance covariate)."""
 
 

@@ -87,12 +87,7 @@ def local_scoring(
             f"response {formula.response!r} is constant; nothing to fit"
         )
 
-    covariates = {}
-    for term in formula.terms:
-        col = data.column(term.name)
-        if not np.all(np.isfinite(col)):
-            raise DataValidationError(f"covariate {term.name!r} contains non-finite values")
-        covariates[term.name] = col
+    covariates = {name: data.covariate(name) for name in formula.term_names}
 
     if config.w_train is not None:
         w_ext = data.column(config.w_train)

@@ -14,7 +14,9 @@ then biases) or a linear term's slope and center. The family comes from
 the config's `family` name alone. The trace holds one record per
 backfitting sweep, each term's loss and centering shift as lists in
 formula order; a term's offset is its shift in the final sweep, so it is
-not stored again. Floats are written with full round-trip precision, so
+not stored again. The writer alone defines the format: the loader keeps
+a model only if writing it back reproduces the stored payload's
+canonical text. Floats are written with full round-trip precision, so
 a loaded model predicts bit-identically to the original on the same
 data; it needs that data passed in. A model, fitted or loaded, keeps no
 optimizer state: it predicts but does not resume training.
@@ -128,9 +130,7 @@ class FittedModel:
         est = self.terms[name]
         if newdata is None:
             return est.fitted_values
-        x = newdata.column(name)
-        if not np.all(np.isfinite(x)):
-            raise DataValidationError(f"covariate {name!r} contains non-finite values")
+        x = newdata.covariate(name)
         lo, hi = self.term_ranges[name]
         if x.size and (np.min(x) < lo or np.max(x) > hi):
             # stacklevel 3 names predict's caller; predict calls this from a plain
@@ -296,35 +296,37 @@ def _model_payload(model: FittedModel) -> dict:
     }
 
 
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _canonical(payload, allow_nan: bool = False) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=allow_nan)
 
 
 def save_model(model: FittedModel, path) -> None:
     """Write the model as checksummed JSON. A non-finite value, which the
     loader would refuse, raises NumericInstabilityError before the file opens."""
     payload = _model_payload(model)
-    digest = hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
-    doc = {
-        "format": FILE_FORMAT,
-        "version": FILE_VERSION,
-        "sha256": digest,
-        "model": payload,
-    }
     try:
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        text = _canonical(payload)
     except ValueError as exc:
         raise NumericInstabilityError(f"{path}: not saved, the model holds a non-finite value "
                                       f"({exc})") from exc
+    doc = {
+        "format": FILE_FORMAT,
+        "version": FILE_VERSION,
+        "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "model": payload,
+    }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(_canonical(doc) + "\n")
 
 
 def load_model(path) -> FittedModel:
-    """Read a model file, verifying version, content checksum and payload.
+    """Read a model file, verifying format, version and content checksum.
 
-    Any payload that does not describe a model of its stored config and
-    formula raises ModelFileError.
+    The payload has one rule, so the writer alone defines the format:
+    the model built from it, written back, must give exactly its
+    canonical text, every number finite. A payload that breaks the rule,
+    a row count that is not an integer of at least 2 and a trace
+    iteration without sweeps raise ModelFileError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -339,99 +341,66 @@ def load_model(path) -> FittedModel:
             f"expected {FILE_VERSION}"
         )
     payload = doc.get("model")
-    digest = hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
-    if digest != doc.get("sha256"):
+    text = _canonical(payload, allow_nan=True)  # so a stored NaN reads as malformed below
+    # the checksum also catches an edit that reads back cleanly, like a changed digit
+    if hashlib.sha256(text.encode("utf-8")).hexdigest() != doc.get("sha256"):
         raise ModelFileError(f"{path}: checksum mismatch; file is corrupt")
     try:
-        return _model_from_payload(payload)
-    # what a malformed payload makes decoding raise: missing keys, wrong
-    # types (AttributeError for a non-string formula), int(inf) overflow
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
+        model = _model_from_payload(payload)
+        # text, not objects: in Python True == 1 == 1.0
+        if _canonical(_model_payload(model)) != text:
+            raise ModelFileError("the payload differs from what its model writes back")
+    # what reading a payload the writer did not write can raise: missing keys,
+    # wrong types, float(inf) overflow, a non-finite number written back
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError,
             GannetError) as exc:
         raise ModelFileError(
             f"{path}: malformed model file ({type(exc).__name__}: {exc})"
         ) from exc
-
-
-def _decode(values, shape: tuple, what: str) -> np.ndarray:
-    """Stored numbers as a float64 array of exactly `shape`, all finite."""
-    arr = np.asarray(values)
-    # numpy promotes a boolean among numbers to a number, so the types of the
-    # stored items are read too, in one pass that map and set make in C
-    items = values if isinstance(values, list) else [values]
-    if arr.dtype.kind not in "iuf" or bool in set(map(type, items)):
-        raise ModelFileError(f"{what} holds values that are not numbers")
-    if arr.shape != shape:
-        raise ModelFileError(f"{what} has shape {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ModelFileError(f"{what} contains non-finite values")
-    return arr.astype(np.float64)
-
-
-def _decode_estimator(term, index: int, tp: dict, config: FitConfig, offset: float):
-    """Term `index` built as `fit` builds it, holding its stored state."""
-    est = make_estimator(term, config, index, 0)
-    what = f"term {term.name!r}"
-    if term.kind == SMOOTH:
-        est.net.params[:] = _decode(tp["params"], est.net.params.shape, f"{what} params")
-    else:
-        est.slope = float(_decode(tp["slope"], (), f"{what} slope"))
-        est.x_center = float(_decode(tp["x_center"], (), f"{what} x_center"))
-    est.offset = offset
-    return est
-
-
-def _decode_iteration(i: int, rp: dict, names: list[str]) -> IterationRecord:
-    """Stored iteration i; each sweep holds its losses and shifts in formula order."""
-    what = f"trace iteration {i}"
-    if not rp["sweeps"]:
-        raise ModelFileError(f"{what} has no sweeps")
-    sweeps = []
-    for k, sp in enumerate(rp["sweeps"], 1):
-        where = f"{what} sweep {k}"
-        losses = _decode(sp["losses"], (len(names),), f"{where} losses").tolist()
-        shifts = _decode(sp["shifts"], (len(names),), f"{where} shifts").tolist()
-        ratio = None if sp["ratio"] is None else float(_decode(sp["ratio"], (), f"{where} ratio"))
-        sweeps.append(Sweep(dict(zip(names, losses)), dict(zip(names, shifts)), ratio, None))
-    return IterationRecord(float(_decode(rp["deviance"], (), f"{what} deviance")),
-                           float(_decode(rp["deviance_ratio"], (), f"{what} deviance_ratio")),
-                           sweeps)
+    return model
 
 
 def _model_from_payload(payload: dict) -> FittedModel:
+    """The model a payload describes, read as `fit` builds it; `load_model`
+    checks it by writing it back. Each term's offset is its centering shift
+    in the final sweep."""
     config = FitConfig(**payload["config"])
     formula = parse_formula(payload["formula"])
     n = payload["n"]
-    # a stored n is checked against nothing else; 2 is the fewest rows fit accepts
+    # n writes back as stored, so it needs its own check; 2 is the fewest rows fit accepts
     if isinstance(n, bool) or not isinstance(n, int) or n < 2:
         raise ModelFileError(f"n must be an integer >= 2, got {n!r}")
-    terms = payload["terms"]
-    names = [tp["name"] for tp in terms]
-    if names != list(formula.term_names):
-        raise ModelFileError(f"stored terms {names} do not match the formula's terms")
-    term_ranges = {
-        tp["name"]: tuple(_decode([tp["train_min"], tp["train_max"]], (2,), "range").tolist())
-        for tp in terms
-    }
-    if not payload["trace"]:
-        raise ModelFileError("the stored trace is empty")
-    trace = LocalScoringTrace(
-        [_decode_iteration(i, rp, names) for i, rp in enumerate(payload["trace"], 1)]
-    )
-    # each term's offset is its centering shift in the final sweep
-    shifts = trace.iterations[-1].sweeps[-1].shifts
-    estimators = [
-        _decode_estimator(term, j, tp, config, shifts[term.name])
-        for j, (term, tp) in enumerate(zip(formula.terms, terms))
-    ]
+    names = formula.term_names
+    iterations = []
+    for rp in payload["trace"]:
+        # an iteration without sweeps writes back as stored, but leaves no offsets
+        if not rp["sweeps"]:
+            raise ModelFileError("a trace iteration has no sweeps")
+        sweeps = [Sweep(dict(zip(names, map(float, sp["losses"]), strict=True)),
+                        dict(zip(names, map(float, sp["shifts"]), strict=True)),
+                        None if sp["ratio"] is None else float(sp["ratio"]), None)
+                  for sp in rp["sweeps"]]
+        iterations.append(IterationRecord(float(rp["deviance"]), float(rp["deviance_ratio"]),
+                                          sweeps))
+    shifts = iterations[-1].sweeps[-1].shifts
+    estimators, term_ranges = [], {}
+    for j, (term, tp) in enumerate(zip(formula.terms, payload["terms"], strict=True)):
+        est = make_estimator(term, config, j, 0)
+        if term.kind == SMOOTH:
+            est.net.params[:] = tp["params"]
+        else:
+            est.slope, est.x_center = float(tp["slope"]), float(tp["x_center"])
+        est.offset = shifts[term.name]
+        estimators.append(est)
+        term_ranges[term.name] = (float(tp["train_min"]), float(tp["train_max"]))
     return FittedModel(
         formula=formula,
-        alpha=float(_decode(payload["alpha"], (), "alpha")),
+        alpha=float(payload["alpha"]),
         estimators=estimators,
-        trace=trace,
+        trace=LocalScoringTrace(iterations),
         config=config,
         n=n,
-        training_mse=float(_decode(payload["training_mse"], (), "training_mse")),
+        training_mse=float(payload["training_mse"]),
         training_eta=None,
         term_ranges=term_ranges,
     )

@@ -295,6 +295,43 @@ class TestTrain:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("body,where", [
+        (b"x,y\n1.0,2.0\n\xff\xfe,3.0\n", "bad.csv:3: invalid UTF-8"),
+        (b"x,y\n1.0," + b"1" * 131_073 + b"\n", "bad.csv:2: field larger than field limit"),
+    ], ids=["invalid_utf8", "long_field"])
+    def test_unreadable_csv_exit_2(self, tmp_path, capsys, body, where):
+        (tmp_path / "bad.csv").write_bytes(body)
+        rc = main(["train", "--data", str(tmp_path / "bad.csv"), "--formula", "y ~ x",
+                   "--num-units", "4", "--model-out", str(tmp_path / "m.json")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gannet: error: "), err
+        assert where in err[0]
+
+    def test_byte_order_mark_is_not_part_of_the_first_column(self, tmp_path, capsys):
+        # spreadsheet programs write "CSV UTF-8" with a leading byte-order mark
+        rows = "".join(f"{v},{2 * v + v * v}\n" for v in range(-5, 6))
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + ("x,y\n" + rows).encode())
+        rc = main(["train", "--data", str(tmp_path / "bom.csv"), "--formula", "y ~ x",
+                   "--num-units", "4", "--model-out", str(tmp_path / "m.json")])
+        assert rc == 0
+        assert "gannet: error:" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("formula,columns,message", [
+        ("y ~ s(x)", {"x": np.arange(10.0), "y": np.full(10, 3.0)}, "response 'y' is constant"),
+        ("y ~ x + s(z)", {"x": np.full(10, 1.0), "z": np.arange(10.0), "y": np.arange(10.0) % 3},
+         "covariate 'x' has zero weighted variance"),
+    ], ids=["constant_response", "constant_linear_covariate"])
+    def test_degenerate_data_exit_2(self, tmp_path, capsys, formula, columns, message):
+        Dataset(columns).to_csv(tmp_path / "d.csv")
+        rc = main(["train", "--data", str(tmp_path / "d.csv"), "--formula", formula,
+                   "--num-units", "4", "--model-out", str(tmp_path / "m.json")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"gannet: error: {message}"), err
+        assert not (tmp_path / "m.json").exists()
+
+
 class TestPredict:
     def test_link_and_response_identical_for_gaussian(self, trained, sim_dir, tmp_path):
         model_path, _ = trained
@@ -502,4 +539,18 @@ class TestPartialEffects:
         )
         assert rc == 2
         assert "repeated term(s): x1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("term", ["x1", "x2"], ids=["smooth", "linear"])
+    def test_non_finite_data_exit_2(self, trained, tmp_path, capsys, term):
+        model_path, _ = trained
+        columns = {name: np.linspace(-1.0, 1.0, 5) for name in ("x1", "x2", "x3")}
+        columns[term][2] = np.inf
+        Dataset(columns).to_csv(tmp_path / "inf.csv")
+        out = tmp_path / "pe.csv"
+        rc = main(["partial-effects", "--model", str(model_path), "--out", str(out),
+                   "--terms", term, "--data", str(tmp_path / "inf.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"gannet: error: covariate {term!r} contains non-finite values"]
         assert not out.exists()

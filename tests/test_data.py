@@ -103,6 +103,17 @@ class TestCsvRoundTrip:
         # a repeated column that is not read does not matter
         assert Dataset.from_csv(path, columns=["y"]).names() == ["y"]
 
+    @pytest.mark.parametrize("row", [0, 2000, 2999])
+    def test_invalid_utf8_names_its_line(self, tmp_path, row):
+        # the file is decoded in chunks of a few thousand bytes, so row 2000
+        # lies in a later chunk than the header
+        rows = [f"{i},{i}".encode() for i in range(3000)]
+        rows[row] = b"7,\xff"
+        (tmp_path / "d.csv").write_bytes(b"a,b\r\n" + b"\r\n".join(rows) + b"\r\n")
+        with pytest.raises(DataValidationError,
+                           match=rf"d\.csv:{row + 2}: invalid UTF-8 \(byte 0xff"):
+            Dataset.from_csv(tmp_path / "d.csv")
+
     def test_read_allocates_about_one_float_per_value(self, tmp_path):
         rng = np.random.default_rng(1)
         n = 20_000

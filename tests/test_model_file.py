@@ -99,6 +99,10 @@ MALFORMED = [
     ("boolean_n", (), _set("n", True)),
     ("string_n", (), _set("n", "7")),
     ("formula_as_number", (), _set("formula", 5)),
+    # each of these reads as a model, which writes back differently
+    ("integer_alpha", (), _set("alpha", 2)),
+    ("extra_top_level_key", (), _set("comment", "edited")),
+    ("extra_term_key", ("terms", 0), _set("slope", 0.5)),
 ]
 
 
