@@ -105,7 +105,7 @@ class LinearTermEstimator:
         return float(np.sum(weights * resid * resid) / wsum)
 
     def predict(self, x) -> np.ndarray:
-        return self.slope * (np.asarray(x, dtype=np.float64) - self.x_center) - self.offset
+        return self.slope * (x - self.x_center) - self.offset
 
 
 TermEstimator = SmoothTermEstimator | LinearTermEstimator
@@ -114,7 +114,7 @@ TermEstimator = SmoothTermEstimator | LinearTermEstimator
 def _rng_for(seed, stream: int, index: int) -> np.random.Generator:
     if seed is None:
         return np.random.default_rng()
-    return np.random.default_rng([int(seed), stream, index])
+    return np.random.default_rng([seed, stream, index])
 
 
 def make_estimator(term: _formula.Term, config: FitConfig, index: int, n_rows: int):
@@ -129,7 +129,7 @@ def partial_residuals(z, alpha: float, estimators, skip_index: int) -> np.ndarra
     Estimators before skip_index contribute the values they got this
     sweep, later ones the previous sweep's — the Gauss-Seidel update.
     """
-    r = np.asarray(z, dtype=np.float64) - alpha
+    r = z - alpha
     for k, est in enumerate(estimators):
         if k != skip_index:
             r = r - est.fitted_values

@@ -130,7 +130,8 @@ def cmd_partial_effects(args) -> int:
     for name in names:
         lo, hi = ranges[name]
         grid = np.linspace(lo, hi, args.grid_size)
-        fhat = model.terms[name].predict(grid)
+        # through predict, so a grid outside the training range warns as there
+        fhat = model.predict(Dataset({name: grid}), type="terms", terms=[name])[:, 0]
         term_col += [name] * args.grid_size
         x_col += [float(v) for v in grid]
         f_col += [float(v) for v in fhat]

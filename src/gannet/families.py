@@ -5,13 +5,16 @@ Each family bundles the link function, its inverse, the working response
 total deviance. Gaussian uses the identity link, so its working response
 and weights never change and the whole fit collapses to a single additive
 pass; Binomial uses the logit link with the mean clamped to the fixed
-range [1e-5, 1 - 1e-5] to keep weights and deviance finite. Neither
-family takes a setting, so make_family builds one from its name alone.
+range [1e-5, 1 - 1e-5] to keep weights and deviance finite. The deviance
+takes prior weights as a GLM's does (McCullagh & Nelder 1989), 1.0 when
+none are given. Neither family takes a setting, so make_family builds one
+from its name alone.
+
+Every method takes float64 vectors, as `Dataset` columns and the arrays
+computed from them are, and does not convert its arguments.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,33 +24,32 @@ GAUSSIAN = "gaussian"
 BINOMIAL = "binomial"
 
 
-@dataclass(frozen=True)
 class Gaussian:
     kind = GAUSSIAN
 
     def link(self, mu: np.ndarray) -> np.ndarray:
-        return np.asarray(mu, dtype=np.float64)
+        return mu
 
     def inverse_link(self, eta: np.ndarray) -> np.ndarray:
-        return np.asarray(eta, dtype=np.float64)
+        return eta
 
     def adjusted_dependent(self, y, eta, mu) -> np.ndarray:
-        return np.asarray(y, dtype=np.float64)
+        return y
 
     def irls_weights(self, mu) -> np.ndarray:
-        return np.ones_like(np.asarray(mu, dtype=np.float64))
+        return np.ones_like(mu)
 
-    def deviance(self, y, mu) -> float:
-        y = np.asarray(y, dtype=np.float64)
-        mu = np.asarray(mu, dtype=np.float64)
-        return float(np.sum((y - mu) ** 2))
+    def deviance(self, y, mu, w=1.0) -> float:
+        # w * r * r, not w * r**2: a zero weight keeps a residual whose square
+        # overflows out of the sum, where 0 * inf would be nan
+        r = y - mu
+        return float(np.sum(w * r * r))
 
     def validate_response(self, y) -> None:
         if not np.all(np.isfinite(y)):
             raise DataValidationError("gaussian response contains non-finite values")
 
 
-@dataclass(frozen=True)
 class Binomial:
     """Bernoulli response with logit link (single trial per observation)."""
 
@@ -58,11 +60,10 @@ class Binomial:
         return np.clip(mu, self.mu_clamp, 1.0 - self.mu_clamp)
 
     def link(self, mu: np.ndarray) -> np.ndarray:
-        mu = self.clamp(np.asarray(mu, dtype=np.float64))
+        mu = self.clamp(mu)
         return np.log(mu / (1.0 - mu))
 
     def inverse_link(self, eta: np.ndarray) -> np.ndarray:
-        eta = np.asarray(eta, dtype=np.float64)
         # sigmoid, split by sign to avoid overflow in exp
         mu = np.empty_like(eta)
         pos = eta >= 0
@@ -72,23 +73,17 @@ class Binomial:
         return self.clamp(mu)
 
     def adjusted_dependent(self, y, eta, mu) -> np.ndarray:
-        y = np.asarray(y, dtype=np.float64)
-        eta = np.asarray(eta, dtype=np.float64)
-        mu = np.asarray(mu, dtype=np.float64)
         return eta + (y - mu) / (mu * (1.0 - mu))
 
     def irls_weights(self, mu) -> np.ndarray:
-        mu = np.asarray(mu, dtype=np.float64)
         return mu * (1.0 - mu)
 
-    def deviance(self, y, mu) -> float:
-        y = np.asarray(y, dtype=np.float64)
+    def deviance(self, y, mu, w=1.0) -> float:
         self.validate_response(y)
-        mu = self.clamp(np.asarray(mu, dtype=np.float64))
-        return float(-2.0 * np.sum(y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu)))
+        mu = self.clamp(mu)
+        return float(-2.0 * np.sum(w * (y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu))))
 
     def validate_response(self, y) -> None:
-        y = np.asarray(y)
         if not np.all(np.isin(y, (0.0, 1.0))):
             bad = y[~np.isin(y, (0.0, 1.0))]
             raise DataValidationError(

@@ -70,8 +70,11 @@ def parse_formula(src: str) -> Formula:
 
     The text splits on ``~`` and the terms on ``+``; a piece that is not
     a name (or, for a term, ``s(name)``) raises :class:`FormulaError`
-    naming it, positioned at its first character.
+    naming it, positioned at its first character, and so does anything
+    that is not a ``str``.
     """
+    if not isinstance(src, str):
+        raise FormulaError(f"a formula is text, got {type(src).__name__} {src!r}")
     sides = src.split("~")
     if len(sides) != 2:
         # the end of the text when '~' is missing, else the second '~'

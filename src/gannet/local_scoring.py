@@ -1,12 +1,15 @@
 """Local scoring: the outer IRLS loop around backfitting.
 
-Each iteration linearizes the likelihood at the current fit, producing a
+The fit starts from the intercept at the weighted mean response. Each
+iteration linearizes the likelihood at the current fit, producing a
 working response and weights from the family tables, re-estimates the
 intercept as the weighted mean of the working response, and delegates the
 additive fit to backfitting. Convergence is judged by the relative drop
 in deviance; the identity-link Gaussian case needs no relinearization, so
-it runs exactly one iteration. The predictor, mean and deviance are
-evaluated once per state: the one a backfitting call leaves ends one
+it runs exactly one iteration. The start, the working weights and the
+deviance all weight each row by its sample weight, so the response of a
+row of weight 0 has no say in the fit. The predictor, mean and deviance
+are evaluated once per state: the one a backfitting call leaves ends one
 iteration and starts the next. A record keeps the iteration's deviance
 and backfitting's `Sweep` list, not its working vectors.
 """
@@ -99,7 +102,7 @@ def local_scoring(
     else:
         w_ext = np.ones_like(y)
 
-    alpha0 = float(family.link(np.array([float(np.mean(y))]))[0])
+    alpha0 = float(family.link(np.array([np.sum(w_ext * y) / np.sum(w_ext)]))[0])
     estimators = [
         make_estimator(term, config, j, data.n) for j, term in enumerate(formula.terms)
     ]
@@ -108,7 +111,7 @@ def local_scoring(
 
     eta = state.alpha + state.fitted_sum()
     mu = family.inverse_link(eta)
-    dev = family.deviance(y, mu)
+    dev = family.deviance(y, mu, w_ext)
     for l in range(1, config.max_iter_ls + 1):
         z = family.adjusted_dependent(y, eta, mu)
         w = family.irls_weights(mu) * w_ext
@@ -117,7 +120,7 @@ def local_scoring(
         # the state backfit leaves ends this iteration and starts the next
         eta = state.alpha + state.fitted_sum()
         mu = family.inverse_link(eta)
-        dev_before, dev = dev, family.deviance(y, mu)
+        dev_before, dev = dev, family.deviance(y, mu, w_ext)
         ratio = deviance_ratio(dev_before, dev)
         trace.iterations.append(IterationRecord(dev, ratio, state.sweeps))
         if config.verbose:

@@ -210,7 +210,7 @@ def fit(data, formula, config: FitConfig) -> FittedModel:
     """
     if not isinstance(data, Dataset):
         data = Dataset(data)
-    if isinstance(formula, str):
+    if not isinstance(formula, Formula):
         formula = parse_formula(formula)
 
     data.require(fit_columns(formula, config))
@@ -225,8 +225,10 @@ def fit(data, formula, config: FitConfig) -> FittedModel:
     }
     cols = [est.fitted_values for est in state.estimators]
     training_eta = state.alpha + np.sum(np.column_stack(cols), axis=1)
-    mu = family.inverse_link(training_eta)
-    training_mse = float(np.mean((y - mu) ** 2))
+    r = y - family.inverse_link(training_eta)
+    # the weighted mean, each product w * r * r as in the deviance
+    w = data.column(config.w_train) if config.w_train is not None else np.ones(data.n)
+    training_mse = float(np.sum(w * r * r) / np.sum(w))
 
     return FittedModel(
         formula=formula,
@@ -246,10 +248,6 @@ def fit(data, formula, config: FitConfig) -> FittedModel:
 # ----------------------------------------------------------------------
 
 
-def _floats(arr) -> list:
-    return np.asarray(arr, dtype=np.float64).tolist()
-
-
 def _estimator_payload(est, lo: float, hi: float) -> dict:
     base = {
         "name": est.name,
@@ -257,7 +255,7 @@ def _estimator_payload(est, lo: float, hi: float) -> dict:
         "train_max": hi,
     }
     if est.kind == SMOOTH:
-        base["params"] = _floats(est.net.params)
+        base["params"] = est.net.params.tolist()
     else:
         base["slope"] = float(est.slope)
         base["x_center"] = float(est.x_center)

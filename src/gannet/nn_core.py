@@ -5,7 +5,9 @@ to a single output. The architecture mirrors the width-1 input projection
 used throughout: dense(1->1, linear), then one dense layer per configured
 hidden width with the chosen activation, then dense(->1, linear). All
 arithmetic is float64; training is deterministic given the rng streams
-passed in.
+passed in. `forward`, `gradients` and `train_one_epoch` take 1-D float64
+vectors, as `Dataset` columns and the arrays computed from them are, and
+do not convert their arguments.
 
 The input projection stays linear regardless of the configured activation:
 a relu there would clamp the network to a constant on half of its input
@@ -171,7 +173,6 @@ def build_network(
 
 def forward(net: SubNetwork, x: np.ndarray) -> np.ndarray:
     """Evaluate the network on a vector of inputs (see the module docstring)."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(x)):
         raise DataValidationError("network input contains non-finite values")
     out = np.empty_like(x)
@@ -371,11 +372,8 @@ def gradients(net: SubNetwork, x, target, weights=None, l2_penalty: float = 0.0)
     layout of `net.params`. Exposed so gradient-checking code can compare
     against finite differences of :func:`forward`.
     """
-    x = np.asarray(x, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
     if weights is None:
         weights = np.ones_like(target)
-    weights = np.asarray(weights, dtype=np.float64)
     _, _, grad = _batch_loss_and_grads(net, x, target, weights, l2_penalty)
     return net.layer_views(grad)
 
@@ -437,9 +435,6 @@ def train_one_epoch(
     that batch. Returns the running weighted MSE over all samples, each
     batch evaluated before its own update.
     """
-    x = np.asarray(x, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
     n = x.shape[0]
     if n < 1 or target.shape[0] != n or weights.shape[0] != n:
         raise DataValidationError("x, target and weights must share a positive length")

@@ -16,6 +16,7 @@ builds its flags from the fields, and config.check_types checks them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +60,9 @@ class ScenarioSpec:
             raise ConfigError("seed must be a nonnegative integer")
         if self.n < 2:
             raise ConfigError("scenario n must be >= 2")
-        if not self.covariate_low < self.covariate_high:
-            raise ConfigError("covariate range must be non-empty")
+        # numpy draws uniform values only over a width that is a finite float
+        if not 0.0 < self.covariate_high - self.covariate_low < math.inf:
+            raise ConfigError("covariate range must be non-empty, its width a finite float")
         if not self.true_functions or not set(self.true_functions) <= TRUE_FUNCTIONS.keys():
             raise ConfigError(f"true_functions must name one or more of "
                               f"{sorted(TRUE_FUNCTIONS)}, got {self.true_functions!r}")
@@ -123,7 +125,7 @@ def true_centered_component(spec: ScenarioSpec, index: int, grid: np.ndarray) ->
     """Evaluate true component `index` on a grid, centered the same way the
     generator centered it (by the full-sample mean under the same seed)."""
     fn = TRUE_FUNCTIONS[spec.true_functions[index]]
-    return fn(np.asarray(grid, dtype=np.float64)) - np.mean(fn(_covariate(spec, index)))
+    return fn(grid) - np.mean(fn(_covariate(spec, index)))
 
 
 def generate_binomial_fixture(n: int, seed: int) -> Dataset:

@@ -18,20 +18,19 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 def line_chart(x: np.ndarray, y: np.ndarray, title: str, xlabel: str,
                ylabel: str = "partial effect") -> str:
     """Render one polyline chart as an SVG document string."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     x_lo, x_hi = float(np.min(x)), float(np.max(x))
     y_lo, y_hi = float(np.min(y)), float(np.max(y))
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
+
+    def place(v, lo, hi, length):
+        # a flat range (one row, a constant curve) sits mid-axis under its one
+        # tick; widening it by 1 each way left it flat from about 1e16 up
+        return length / 2 if hi == lo else (v - lo) / (hi - lo) * length
 
     def sx(v):
-        return MARGIN + (v - x_lo) / (x_hi - x_lo) * (WIDTH - 2 * MARGIN)
+        return MARGIN + place(v, x_lo, x_hi, WIDTH - 2 * MARGIN)
 
     def sy(v):
-        return HEIGHT - MARGIN - (v - y_lo) / (y_hi - y_lo) * (HEIGHT - 2 * MARGIN)
+        return HEIGHT - MARGIN - place(v, y_lo, y_hi, HEIGHT - 2 * MARGIN)
 
     points = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
     parts = [

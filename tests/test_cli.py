@@ -1,8 +1,12 @@
+import io
 import json
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gannet.cli import main
 from gannet.config import FitConfig
@@ -321,7 +325,10 @@ class TestTrain:
         ("y ~ s(x)", {"x": np.arange(10.0), "y": np.full(10, 3.0)}, "response 'y' is constant"),
         ("y ~ x + s(z)", {"x": np.full(10, 1.0), "z": np.arange(10.0), "y": np.arange(10.0) % 3},
          "covariate 'x' has zero weighted variance"),
-    ], ids=["constant_response", "constant_linear_covariate"])
+        ("y ~ x", {"x": np.arange(10.0), "y": [*range(9), np.inf]},
+         "gaussian response contains non-finite values"),
+        ("y ~ x", {"x": [1.0], "y": [2.0]}, "need at least 2 rows to fit"),
+    ], ids=["constant_response", "constant_linear_covariate", "infinite_response", "one_row"])
     def test_degenerate_data_exit_2(self, tmp_path, capsys, formula, columns, message):
         Dataset(columns).to_csv(tmp_path / "d.csv")
         rc = main(["train", "--data", str(tmp_path / "d.csv"), "--formula", formula,
@@ -554,3 +561,240 @@ class TestPartialEffects:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"gannet: error: covariate {term!r} contains non-finite values"]
         assert not out.exists()
+
+    def test_data_sets_the_grid_endpoints(self, trained, tmp_path, capsys):
+        model_path, _ = trained
+        columns = {"x1": [0.5, -1.0, 0.25], "x2": [2.0, 1.5, -0.5], "x3": [0.0, 1.0, -2.0]}
+        Dataset(columns).to_csv(tmp_path / "d.csv")
+        out = tmp_path / "pe.csv"
+        rc = main(["partial-effects", "--model", str(model_path), "--out", str(out),
+                   "--data", str(tmp_path / "d.csv"), "--grid-size", "2"])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        for name, values in columns.items():
+            got = [float(x) for term, x, _ in rows if term == name]
+            assert got == [min(values), max(values)]
+
+    def test_data_outside_the_training_range_warns_once_per_term(self, trained, tmp_path,
+                                                                 capsys):
+        model_path, _ = trained
+        wide = tmp_path / "wide"
+        assert main(["simulate", "--out-dir", str(wide), "--n", "200",
+                     "--covariate-low", "-4", "--covariate-high", "4"]) == 0
+        capsys.readouterr()
+        rc = main(["partial-effects", "--model", str(model_path), "--out", str(tmp_path / "pe.csv"),
+                   "--data", str(wide / "test.csv"), "--grid-size", "5"])
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split("'")[1] for line in err] == ["x1", "x2", "x3"]
+        assert all(line.startswith("gannet: warning: term ") for line in err)
+
+    @pytest.mark.parametrize("value", [0.5, 1e17], ids=["unit", "beyond_unit_resolution"])
+    def test_one_row_of_data_draws_a_flat_axis(self, trained, tmp_path, value):
+        # a flat range sits mid-axis with one tick; near 1e17 a range padded
+        # by 1 each way is still flat, and dividing by its width raised
+        model_path, _ = trained
+        Dataset({"x1": [value]}).to_csv(tmp_path / "one.csv")
+        svg_dir = tmp_path / "charts"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # 1e17 is outside the training range
+            rc = main(["partial-effects", "--model", str(model_path), "--out",
+                       str(tmp_path / "pe.csv"), "--terms", "x1", "--data",
+                       str(tmp_path / "one.csv"), "--svg-dir", str(svg_dir), "--grid-size", "3"])
+        assert rc == 0
+        svg = (svg_dir / "x1.svg").read_text()
+        mid_x, mid_y = 320.0, 240.0  # the middle of the plot area
+        assert f'points="{mid_x:.2f},{mid_y:.2f} {mid_x:.2f},{mid_y:.2f} {mid_x:.2f},{mid_y:.2f}"' in svg
+        assert svg.count('font-size="11"') == 2  # one tick label on each axis
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--data", "{sim}/train.csv", "--formula", "y ~ x1", "--num-units", "8,a",
+      "--model-out", "{tmp}/out"], "num_units expects a comma list of int, got '8,a'"),
+    (["predict", "--model", "{model}", "--data", "{sim}/test.csv", "--out", "{tmp}/out",
+      "--type", "terms", "--terms", ","], "expected a comma-separated list of term names"),
+    (["partial-effects", "--model", "{model}", "--out", "{tmp}/out", "--grid-size", "1"],
+     "--grid-size must be >= 2"),
+    (["summary", "--model", "{tmp}/other.json"], "{tmp}/other.json: not a gannet-model file"),
+], ids=["num_units_not_int", "no_term_names", "grid_of_one", "foreign_format_tag"])
+def test_bad_argument_exit_2(trained, sim_dir, tmp_path, capsys, argv, message):
+    model_path, _ = trained
+    (tmp_path / "other.json").write_text(json.dumps({"format": "other-model", "version": 6}))
+    paths = {"sim": sim_dir, "model": model_path, "tmp": tmp_path}
+    rc = main([arg.format(**paths) for arg in argv])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"gannet: error: {message.format(**paths)}"]
+    assert not (tmp_path / "out").exists()
+
+
+# ----------------------------------------------------------------------
+# fuzzing main: whatever the input, exit 0, 1 or 2, with one error line
+# on a nonzero exit
+# ----------------------------------------------------------------------
+
+
+def assert_main_exits_cleanly(argv):
+    """main(argv) returns 0, 1 or 2, printing exactly one `gannet: error:`
+    line when it is not 0; argparse's own exit 2 on a bad command line is
+    the one exception allowed out of it."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(io.StringIO()), redirect_stderr(err):
+        warnings.simplefilter("default")  # warnings print as they do outside the tests
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("gannet: error:")]
+    assert rc in (0, 1, 2), argv
+    assert len(errors) == (1 if rc else 0), (argv, err.getvalue())
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory with a small valid CSV and a model trained on it."""
+    out = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(5)
+    x1, x2 = rng.uniform(-1, 1, (2, 40))
+    Dataset({"x1": x1, "x2": x2, "y": np.sin(2 * x1) + x2 + rng.normal(0, 0.1, 40),
+             "w": rng.uniform(0, 2, 40)}).to_csv(out / "valid.csv")
+    assert main(["train", "--data", str(out / "valid.csv"), "--formula", "y ~ s(x1) + x2",
+                 "--num-units", "3", "--max-iter-backfitting", "1", "--seed", "1",
+                 "--verbose", "0", "--model-out", str(out / "model.json")]) == 0
+    return out
+
+
+ODD_CELLS = ["0", "1", "", "NA", "nan", "null", "inf", "-inf", "1e999", "-1e400", "1e-400",
+             "1e308", "-1e308", " 2 ", "0x1p3", "abc", '"3"', '"open', "\x00", "é",
+             "1" * 131_073]
+
+
+@st.composite
+def csv_bytes(draw, family):
+    """A CSV with header x1,x2,y,w, mostly values a `family` fit takes, now
+    and then with odd cells, a ragged row, a byte-order mark, and invalid
+    UTF-8, NUL, quote or separator bytes spliced in; lines end in LF, CRLF
+    or CR."""
+    y = st.sampled_from([0.0, 1.0]) if family == "binomial" else st.floats(-10, 10)
+    columns = [st.floats(-10, 10), st.floats(-10, 10), y, st.floats(0, 10)]
+
+    def now_and_then():  # one time in eight, or about that: draws lean to the first item
+        return draw(st.sampled_from([False] * 7 + [True]))
+
+    def cell(values):
+        return draw(st.sampled_from(ODD_CELLS)) if now_and_then() else repr(draw(values))
+
+    rows = [[cell(values) for values in columns]
+            for _ in range(draw(st.sampled_from([4, 6, 2, 3, 5, 1, 0])))]
+    if rows and now_and_then():
+        ragged = draw(st.sampled_from(rows))
+        if draw(st.booleans()):
+            ragged.append(cell(y))
+        else:
+            ragged.pop()
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(",".join(row) for row in [["x1", "x2", "y", "w"], *rows]) + newline
+    body = ("\ufeff" if draw(st.booleans()) else "").encode() + text.encode()
+    for _ in range(draw(st.sampled_from([0] * 6 + [1, 2]))):
+        at = draw(st.integers(0, len(body)))
+        splice = draw(st.sampled_from([b"\xff", b"\xfe\xff", b"\xc3", b"\x00", b'"', b",", b"\n"]))
+        body = body[:at] + splice + body[at:]
+    return body
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(family=st.sampled_from(["gaussian", "binomial"]), weighted=st.booleans(),
+       draws=st.data())
+def test_any_csv_exits_cleanly(fuzz_dir, family, weighted, draws):
+    csv = fuzz_dir / "fuzz.csv"
+    csv.write_bytes(draws.draw(csv_bytes(family)))
+    assert_main_exits_cleanly(
+        ["train", "--data", str(csv), "--formula", "y ~ s(x1) + x2", "--num-units", "2",
+         "--max-iter-backfitting", "2", "--max-iter-ls", "2", "--seed", "1",
+         "--family", family, "--model-out", str(fuzz_dir / "fuzz.json"),
+         *(["--w-train", "w"] if weighted else [])])
+    assert_main_exits_cleanly(["predict", "--model", str(fuzz_dir / "model.json"),
+                               "--data", str(csv), "--out", str(fuzz_dir / "pred.csv"),
+                               "--type", "terms"])
+    assert_main_exits_cleanly(["partial-effects", "--model", str(fuzz_dir / "model.json"),
+                               "--data", str(csv), "--out", str(fuzz_dir / "pe.csv"),
+                               "--grid-size", "3", "--svg-dir", str(fuzz_dir / "svg")])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_any_single_byte_edit_of_a_model_file_exits_cleanly(fuzz_dir, data):
+    body = bytearray((fuzz_dir / "model.json").read_bytes())
+    body[data.draw(st.integers(0, len(body) - 1))] = data.draw(st.integers(0, 255))
+    model = fuzz_dir / "edited.json"
+    model.write_bytes(bytes(body))
+    for argv in (["summary", "--model", str(model)],
+                 ["predict", "--model", str(model), "--data", str(fuzz_dir / "valid.csv"),
+                  "--out", str(fuzz_dir / "pred.csv")],
+                 ["partial-effects", "--model", str(model), "--out", str(fuzz_dir / "pe.csv"),
+                  "--grid-size", "3"]):
+        assert_main_exits_cleanly(argv)
+
+
+def either(valid, invalid):
+    """Text of a flag value: one of `valid` or one of `invalid`."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(invalid))
+
+
+COUNT = either(["1", "2", "3"], ["-1", "0", "1.5", "x", ""])
+SEED = either(["0", "1", "3"], ["-1", "1.5", "x"])
+REAL = either(["1e-3", "0.01", "0.5", "2"],
+              ["0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "x"])
+TERMS = either(["x1", "x2,x1"], ["x1,x1", ",", "q"])
+
+
+def flags(draw, options):
+    """Up to three of `options` (flag: strategy of its text), as --flag=value."""
+    chosen = draw(st.lists(st.sampled_from(sorted(options)), unique=True, max_size=3))
+    return [f"{flag}={draw(options[flag])}" for flag in chosen]
+
+
+@st.composite
+def command_lines(draw, fuzz_dir):
+    command = draw(st.sampled_from(["train", "predict", "partial-effects", "simulate"]))
+    model, out = str(fuzz_dir / "model.json"), str(fuzz_dir / "flags-out")
+    if command == "train":
+        argv = ["train", "--data", str(fuzz_dir / "valid.csv"), "--model-out", out,
+                "--formula", draw(st.sampled_from(["y ~ s(x1) + x2", "y ~ x1", "w ~ s(x2)"])),
+                "--num-units", draw(st.sampled_from(["2", "3", "2,2", "0", "2,a"])),
+                "--max-iter-backfitting", "2"]
+        argv += flags(draw, {
+            "--family": either(["gaussian"], ["binomial", "poisson"]),
+            "--activation": either(["relu", "linear"], ["tanh"]),
+            "--learning-rate": REAL, "--l2-penalty": REAL, "--bf-threshold": REAL,
+            "--ls-threshold": REAL, "--batch-size": COUNT, "--max-iter-ls": COUNT,
+            "--epochs-per-sweep": COUNT, "--seed": SEED, "--verbose": either(["0", "1"], ["2"]),
+            "--w-train": either(["w"], ["x1", "y", "missing"]),
+        })
+    elif command == "predict":
+        argv = ["predict", "--model", model, "--data", str(fuzz_dir / "valid.csv"), "--out", out]
+        argv += flags(draw, {"--type": either(["link", "response", "terms"], ["mean"]),
+                             "--terms": TERMS})
+    elif command == "partial-effects":
+        argv = ["partial-effects", "--model", model, "--out", out]
+        argv += flags(draw, {"--grid-size": COUNT, "--terms": TERMS})
+    else:
+        # the covariate range is always given, as its ends can overflow together
+        argv = ["simulate", "--out-dir", str(fuzz_dir / "simulated"),
+                "--n", draw(st.sampled_from(["2", "5", "20"])),
+                "--covariate-low=" + draw(st.sampled_from(["-1", "-1e308", "1e307"])),
+                "--covariate-high=" + draw(st.sampled_from(["1", "1e308", "1.5e307", "-1"]))]
+        argv += flags(draw, {
+            "--alpha0": REAL, "--noise-mean": REAL, "--noise-sd": REAL,
+            "--train-fraction": REAL, "--seed": SEED,
+            "--true-functions": either(["square", "sine,double"], ["", "cube"]),
+        })
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_any_small_flag_values_exit_cleanly(fuzz_dir, data):
+    assert_main_exits_cleanly(data.draw(command_lines(fuzz_dir)))

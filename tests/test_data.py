@@ -57,6 +57,13 @@ class TestCsvRoundTrip:
         assert ds.n_dropped == 2
         np.testing.assert_array_equal(ds.column("a"), [1.0, 5.0])
 
+    def test_blank_rows_skipped_and_not_counted(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n1,2\n\n3,4\n  ,\t\n5,6\n")
+        ds = Dataset.from_csv(path)
+        np.testing.assert_array_equal(ds.column("a"), [1.0, 3.0, 5.0])
+        assert ds.n_dropped == 0
+
     def test_missing_outside_selection_ignored(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b\n1,\n2,3\n")

@@ -63,6 +63,8 @@ class TestParseErrors:
             "y ~ y",            # response reused as term
             "",                 # empty
             "   ",              # blank
+            5,                  # not text
+            b"y ~ x",           # bytes, not text
         ],
     )
     def test_rejected(self, src):

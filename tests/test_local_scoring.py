@@ -11,6 +11,7 @@ from gannet.exceptions import DataValidationError, DegenerateDataError
 from gannet.families import Binomial, Gaussian
 from gannet.formula import parse_formula
 from gannet.local_scoring import deviance_ratio, local_scoring
+from gannet.model import fit, save_model
 from gannet.simulation import generate_binomial_fixture
 
 
@@ -238,3 +239,43 @@ class TestBinomialRun:
         )
         assert epochs[-1] == total_sweeps
         assert all(math.isfinite(loss) for *_, loss in rows)
+
+
+def weighted_probe(family, seed):
+    """400 rows, weight 0 where x < 0: logit 2x for binomial, sin x plus
+    noise for gaussian."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2, 2, 400)
+    if family == "binomial":
+        y = (rng.random(400) < 1.0 / (1.0 + np.exp(-2.0 * x))).astype(np.float64)
+    else:
+        y = np.sin(x) + rng.normal(0, 0.1, 400)
+    return {"x": x, "y": y, "w": (x >= 0).astype(np.float64)}
+
+
+class TestSampleWeights:
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_deviance_and_mse_count_positive_weight_rows_only(self, family):
+        columns = weighted_probe(family, 0)
+        model = fit(columns, "y ~ s(x)", cfg(family=family, w_train="w"))
+        y, w = columns["y"], columns["w"]
+        mu = model.predict(type="response")
+        keep = w > 0
+        dev = model.family.deviance(y[keep], mu[keep], w[keep])
+        assert model.trace.iterations[-1].deviance == pytest.approx(dev, rel=1e-12)
+        r = y[keep] - mu[keep]
+        assert model.training_mse == pytest.approx(np.average(r * r, weights=w[keep]),
+                                                   rel=1e-12)
+
+    @pytest.mark.parametrize("family,seed", [("gaussian", 0), *(("binomial", s) for s in range(4))])
+    def test_responses_of_zero_weight_rows_do_not_change_the_fit(self, tmp_path, family, seed):
+        columns = weighted_probe(family, seed)
+        edited = dict(columns, y=columns["y"].copy())
+        zero = columns["w"] == 0
+        # a binomial response flips; a gaussian one becomes huge, its square
+        # beyond the largest float
+        edited["y"][zero] = 1.0 - edited["y"][zero] if family == "binomial" else -1.2e191
+        for name, data in (("a", columns), ("b", edited)):
+            save_model(fit(data, "y ~ s(x)", cfg(family=family, w_train="w", seed=seed)),
+                       tmp_path / f"{name}.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()

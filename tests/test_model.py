@@ -12,6 +12,7 @@ from gannet.exceptions import (
     ConfigError,
     DataValidationError,
     DegenerateDataError,
+    FormulaError,
     ModelFileError,
     NumericInstabilityError,
 )
@@ -58,6 +59,11 @@ class TestFit:
         data = Dataset({"x": np.arange(10.0), "y": np.arange(10.0)})
         with pytest.raises(DataValidationError, match="zz"):
             fit(data, "y ~ s(zz)", cfg())
+
+    def test_formula_that_is_not_text_rejected(self):
+        data = Dataset({"x": np.arange(10.0), "y": np.arange(10.0)})
+        with pytest.raises(FormulaError, match="a formula is text, got int 5"):
+            fit(data, 5, cfg())
 
     def test_accepts_plain_mapping(self):
         rng = np.random.default_rng(1)
@@ -149,6 +155,11 @@ class TestPredict:
         model, data = mixed_model_and_data
         with pytest.raises(ConfigError):
             model.predict(data, type="quantile")
+
+    def test_terms_subset_needs_type_terms(self, mixed_model_and_data):
+        model, data = mixed_model_and_data
+        with pytest.raises(ConfigError, match="only valid with type='terms'"):
+            model.predict(data, type="link", terms=["x1"])
 
     def test_extrapolation_warns(self, mixed_model_and_data):
         model, _ = mixed_model_and_data
@@ -481,6 +492,7 @@ class TestConfig:
             ({"max_iter_backfitting": 2.5}, False),
             ({"bf_threshold": 0.0}, False),
             ({"bf_threshold": float("nan")}, False),
+            ({"verbose": 2}, False),
             ({"num_units": np.int64(8)}, True),
             ({"num_units": [np.int32(4), 2]}, True),
             ({"bf_threshold": 1}, True),

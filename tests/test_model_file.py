@@ -279,3 +279,17 @@ def test_extreme_scale_fit_raises_or_round_trips(tmp_path_factory, case):
         for type in ("link", "response", "terms"):
             np.testing.assert_array_equal(loaded.predict(data, type=type),
                                           model.predict(data, type=type))
+
+
+def test_zero_weight_rows_near_overflow_round_trip(tmp_path):
+    # the rows of weight 0 have residuals whose squares overflow; they count
+    # in neither the deviance nor the training MSE, so the model saves
+    data = Dataset({"x": [-1.1e-110, -1.0e-110, -0.9e-110], "y": [-1.2e57, -4.7e-25, -1.2e191],
+                    "w": [0.0, 1e299, 0.0]})
+    config = FitConfig(num_units=(4,), seed=1, verbose=0, w_train="w")
+    model = fit(data, "y ~ s(x)", config)
+    save_model(model, tmp_path / "m.json")
+    loaded = load_model(tmp_path / "m.json")
+    for type in ("link", "response", "terms"):
+        np.testing.assert_array_equal(loaded.predict(data, type=type),
+                                      model.predict(data, type=type))
