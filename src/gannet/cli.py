@@ -33,7 +33,7 @@ from .exceptions import (
 from .formula import parse_formula
 from .model import PREDICT_TYPES, fit, fit_columns, load_model, save_model, summarize
 from .simulation import ScenarioSpec, generate_scenario
-from .svg import line_chart
+from .svg import line_chart, spaced
 
 
 def _parse_name_list(text: str) -> list[str]:
@@ -129,7 +129,7 @@ def cmd_partial_effects(args) -> int:
     f_col: list[float] = []
     for name in names:
         lo, hi = ranges[name]
-        grid = np.linspace(lo, hi, args.grid_size)
+        grid = spaced(lo, hi, args.grid_size)
         # through predict, so a grid outside the training range warns as there
         fhat = model.predict(Dataset({name: grid}), type="terms", terms=[name])[:, 0]
         term_col += [name] * args.grid_size

@@ -27,11 +27,16 @@ relu'(0) = 0 in the dense code): above its knot t_k = -b_k/a_k when
 a_k > 0, below it when a_k < 0, and everywhere or nowhere when a_k = 0,
 by the sign of b_k. `forward` and `_batch_loss_and_grads` sort u, place
 every knot among the sorted rows and take prefix/suffix sums, which costs
-O((n + H) log n) time and O(n + H) memory instead of O(nH). The knots are
-placed in ascending order (argsort, then two searchsorted calls): the
-same positions as searching them in unit order, at under half the cost on
-fresh inputs, as numpy starts each search of an ascending key from where
-the previous one ended. The sums of v_k*a_k and v_k*b_k over the active
+O((n + H) log n) time and O(n + H) memory instead of O(nH). `forward`
+sorts with numpy's default argsort, which on a CPU with AVX-512 was 4-6
+times as fast as the stable one on random rows: rows of equal u get the
+same u, and no knot is placed between them, so they get the same slope,
+offset and output whatever their order. The training step sorts stably,
+because its sums of delta over the rows depend on the order of tied rows.
+The knots are placed in ascending order (argsort, then two searchsorted
+calls): the same positions as searching them in unit order, at under half
+the cost on fresh inputs, as numpy starts each search of an ascending key
+from where the previous one ended. The sums of v_k*a_k and v_k*b_k over the active
 units of each row come from one bincount and one in-place cumulative
 sum. The batch gradients follow from the sums S0_k and S1_k of delta and
 delta*u over each unit's active rows, read from one table of their prefix
@@ -48,9 +53,12 @@ layer's zero crossings -O/S inside them, masks each unit by the side of
 its crossing the piece lies on, and multiplies by the next layer. Each row
 then costs one searchsorted into the edges and one multiply-add, over
 blocks of FORWARD_BLOCK_FLOATS rows, so the output is the only row-sized
-array. These networks train through the dense pass (`_forward_cached`,
-`_dense_grads`), which is also the tests' oracle for the kernel and the
-table.
+array. Into a table of SORTED_SEARCH_MIN_EDGES inner edges or more, each
+block is argsorted and searched in ascending order, which costs less than
+searching the rows as they come; the piece of each row, and so its
+output, does not depend on the order the rows are searched in. These
+networks train through the dense pass (`_forward_cached`, `_dense_grads`),
+which is also the tests' oracle for the kernel and the table.
 """
 
 from __future__ import annotations
@@ -69,8 +77,15 @@ ACTIVATIONS = (RELU, IDENTITY)
 # rows per block of the piece table's forward pass: its temporaries are
 # 256 KB, which the allocator reuses from call to call, where blocks of 1 MB
 # and more went back to the system and were page-faulted in again on the
-# next call.
+# next call. Each block is sorted on its own: on 1M rows, sorting 2**15-row
+# blocks took 30 ms and one sort of all rows 58 ms.
 FORWARD_BLOCK_FLOATS = 1 << 15
+# inner edges from which a block is sorted before its search. A search of
+# random rows into E edges takes log2(E) hard-to-predict steps a row; a
+# sorted search is cheaper per row, but the sort costs about 15-40 ns a row
+# (numpy 2.4.6 with AVX-512, 2-core Xeon). The two broke even at 16-32
+# edges; below, sorting made the search up to 5 times slower.
+SORTED_SEARCH_MIN_EDGES = 32
 
 
 @dataclass
@@ -179,14 +194,19 @@ def forward(net: SubNetwork, x: np.ndarray) -> np.ndarray:
     if x.size == 0:
         return out
     if _is_spline(net):
-        spline = _Spline(net, x)
+        spline = _Spline(net, x, stable=False)
         out[spline.order] = spline.f
         return out
     edges, slope, offset = _piece_table(net, x.min(), x.max())
     inner = edges[1:-1]
     for start in range(0, x.size, FORWARD_BLOCK_FLOATS):
         block = slice(start, start + FORWARD_BLOCK_FLOATS)
-        piece = inner.searchsorted(x[block], side="right")
+        if inner.size < SORTED_SEARCH_MIN_EDGES:
+            piece = inner.searchsorted(x[block], side="right")
+        else:
+            order = x[block].argsort()
+            piece = np.empty_like(order)
+            piece[order] = inner.searchsorted(x[block][order], side="right")
         np.multiply(slope[piece], x[block], out=out[block])
         out[block] += offset[piece]
     return out
@@ -234,18 +254,18 @@ class _Spline:
     """A one-hidden-layer relu network evaluated as a linear spline of u.
 
     Rows are held in ascending order of u = w1*x + b1 (`order` maps sorted
-    to original rows). Hidden unit k is active on the sorted rows
-    [lo_k, n) when a_k >= 0, else on [0, hi_k); `pos` holds the one of the
-    two that applies. `slope` is A(u) and `f` the network output, both per
-    sorted row.
+    to original rows); tied rows keep their input order when `stable`.
+    Hidden unit k is active on the sorted rows [lo_k, n) when a_k >= 0,
+    else on [0, hi_k); `pos` holds the one of the two that applies. `slope`
+    is A(u) and `f` the network output, both per sorted row.
     """
 
-    def __init__(self, net: SubNetwork, x: np.ndarray):
+    def __init__(self, net: SubNetwork, x: np.ndarray, stable: bool = True):
         inp, hidden, out = net.layers
         self.a, self.b, self.v = hidden.weights[:, 0], hidden.biases, out.weights[0]
         a, b, units = self.a, self.b, self.a.size
         u = x * inp.weights[0, 0] + inp.biases[0]
-        self.order = u.argsort(kind="stable")
+        self.order = u.argsort(kind="stable" if stable else None)
         self.x, self.u = x, u[self.order]
         u, n = self.u, self.u.size
         if a.all():

@@ -86,6 +86,9 @@ def generate_scenario(spec: ScenarioSpec):
     sample means are ~0 by construction and the intercept equals
     alpha0 + noise_mean in expectation. The true-term tables carry the
     centered component values for oracle comparisons.
+
+    Raises ConfigError, naming the settings, when a centered component or
+    the response overflows: finite settings can still give inf or NaN.
     """
     p = len(spec.true_functions)
     names = [f"x{j + 1}" for j in range(p)]
@@ -94,13 +97,22 @@ def generate_scenario(spec: ScenarioSpec):
     fs = {}
     for j, (name, fname) in enumerate(zip(names, spec.true_functions)):
         covs[name] = _covariate(spec, j)
-        f = TRUE_FUNCTIONS[fname](covs[name])
-        fs[name] = f - np.mean(f)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = TRUE_FUNCTIONS[fname](covs[name])
+            fs[name] = f - np.mean(f)
+        if not np.all(np.isfinite(fs[name])):
+            raise ConfigError(
+                f"true component {fname!r} of {name} is not finite with "
+                f"covariate_low={spec.covariate_low!r} and covariate_high={spec.covariate_high!r}")
 
     noise_rng = np.random.default_rng([spec.seed, _NOISE_STREAM, 0])
     eps = noise_rng.normal(spec.noise_mean, spec.noise_sd, size=spec.n)
-    eta0 = spec.alpha0 + sum(fs.values())
-    y = eta0 + eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = spec.alpha0 + sum(fs.values()) + eps
+    if not np.all(np.isfinite(y)):
+        raise ConfigError(
+            f"response y is not finite with alpha0={spec.alpha0!r}, "
+            f"noise_mean={spec.noise_mean!r} and noise_sd={spec.noise_sd!r}")
 
     split_rng = np.random.default_rng([spec.seed, _SPLIT_STREAM, 0])
     in_train = split_rng.random(spec.n) < spec.train_fraction

@@ -3,16 +3,31 @@ styling is deliberately minimal and not a stability surface."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 WIDTH, HEIGHT = 640, 480
 MARGIN = 50
 
 
+def spaced(lo: float, hi: float, count: int) -> np.ndarray:
+    """`count` evenly spaced points from lo to hi, both ends exact.
+
+    np.linspace forms hi - lo, which overflows when the ends lie far apart
+    (-1e308 and 1e308); this form never does. Its rounding can put a point
+    an ulp outside [lo, hi], or below the point before it on a range a few
+    ulps wide, so the points are clipped and made ascending: a range of one
+    value gives that value, never a neighbour of it.
+    """
+    t = np.linspace(0.0, 1.0, count)
+    return np.maximum.accumulate(np.clip(lo * (1.0 - t) + hi * t, lo, hi))
+
+
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     if hi == lo:
         return [lo]
-    return list(np.linspace(lo, hi, count))
+    return list(spaced(lo, hi, count))
 
 
 def line_chart(x: np.ndarray, y: np.ndarray, title: str, xlabel: str,
@@ -24,7 +39,13 @@ def line_chart(x: np.ndarray, y: np.ndarray, title: str, xlabel: str,
     def place(v, lo, hi, length):
         # a flat range (one row, a constant curve) sits mid-axis under its one
         # tick; widening it by 1 each way left it flat from about 1e16 up
-        return length / 2 if hi == lo else (v - lo) / (hi - lo) * length
+        if hi == lo:
+            return length / 2
+        # divided by the power of two at the larger end, which is exact, the
+        # differences can neither overflow (-1e308 to 1e308) nor round to 0
+        # (subnormal ends); the ratio stays that of the unscaled differences
+        scale = math.ldexp(1.0, math.frexp(max(abs(lo), abs(hi)))[1] - 1)
+        return (v / scale - lo / scale) / (hi / scale - lo / scale) * length
 
     def sx(v):
         return MARGIN + place(v, x_lo, x_hi, WIDTH - 2 * MARGIN)

@@ -1,5 +1,6 @@
 import io
 import json
+import shutil
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -12,6 +13,9 @@ from gannet.cli import main
 from gannet.config import FitConfig
 from gannet.data import Dataset
 from gannet.model import fit
+from gannet.svg import spaced
+
+MAX = np.finfo(np.float64).max
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +176,19 @@ class TestSimulate:
         d = tmp_path / "bad"
         assert main(["simulate", "--out-dir", str(d), "--n", "100", flag, value]) == 2
         assert capsys.readouterr().err.startswith("gannet: error: ")
+        assert not d.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--covariate-low", "1e307", "--covariate-high", "1.5e307"],
+        ["--alpha0", "1e308", "--noise-mean", "1e308"],
+    ])
+    def test_overflowing_scenario_exit_2(self, tmp_path, capsys, flags):
+        # exit 0 with y = nan (then inf) in every row before
+        d = tmp_path / "overflow"
+        assert main(["simulate", "--out-dir", str(d), "--n", "10", *flags]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gannet: error: ")
+        assert flags[0][2:].replace("-", "_") in err[0]
         assert not d.exists()
 
 
@@ -609,6 +626,42 @@ class TestPartialEffects:
         assert svg.count('font-size="11"') == 2  # one tick label on each axis
 
 
+    @pytest.mark.parametrize("ends", [(-1e308, 1e308), (1.5e-323, 2e-323), (-0.5, 0.75)],
+                             ids=["overflowing_width", "subnormal", "in_range"])
+    def test_grid_and_chart_of_any_finite_range(self, trained, tmp_path, ends):
+        # np.linspace formed hi - lo, which overflowed to inf on (-1e308, 1e308)
+        # though every value in the file was finite
+        model_path, _ = trained
+        Dataset({"x1": list(ends)}).to_csv(tmp_path / "d.csv")
+        svg_dir = tmp_path / "charts"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no numpy overflow
+            warnings.simplefilter("ignore", UserWarning)  # outside the training range
+            rc = main(["partial-effects", "--model", str(model_path), "--out",
+                       str(tmp_path / "pe.csv"), "--terms", "x1", "--data",
+                       str(tmp_path / "d.csv"), "--svg-dir", str(svg_dir), "--grid-size", "9"])
+        assert rc == 0
+        grid = [float(row.split(",")[1]) for row in
+                (tmp_path / "pe.csv").read_text().splitlines()[1:]]
+        assert (grid[0], grid[-1]) == ends
+        assert grid == sorted(grid) and all(ends[0] <= x <= ends[1] for x in grid)
+        svg = (svg_dir / "x1.svg").read_text()
+        assert "nan" not in svg and "inf" not in svg
+        points = svg.split('points="')[1].split('"')[0].split()
+        assert (points[0].split(",")[0], points[-1].split(",")[0]) == ("50.00", "590.00")
+
+    @pytest.mark.parametrize("lo, hi", [
+        (-2.5, 2.5), (0.1, 0.1), (-MAX, MAX), (MAX, MAX), (np.nextafter(MAX, 0.0), MAX),
+    ])
+    def test_spaced_points_keep_to_their_range(self, lo, hi):
+        with np.errstate(all="raise"):
+            grid = spaced(lo, hi, 200)
+        assert (grid[0], grid[-1]) == (lo, hi)
+        assert np.all((grid >= lo) & (grid <= hi)) and np.all(np.diff(grid) >= 0.0)
+        if lo == hi:
+            assert np.all(grid == lo)
+
+
 @pytest.mark.parametrize("argv,message", [
     (["train", "--data", "{sim}/train.csv", "--formula", "y ~ x1", "--num-units", "8,a",
       "--model-out", "{tmp}/out"], "num_units expects a comma list of int, got '8,a'"),
@@ -797,4 +850,12 @@ def command_lines(draw, fuzz_dir):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_any_small_flag_values_exit_cleanly(fuzz_dir, data):
+    simulated = fuzz_dir / "simulated"
+    shutil.rmtree(simulated, ignore_errors=True)
     assert_main_exits_cleanly(data.draw(command_lines(fuzz_dir)))
+    # what simulate writes, train reads without dropping a row as missing
+    for csv in simulated.glob("*.csv"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a split can leave no rows
+            values = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+        assert np.all(np.isfinite(values)), csv

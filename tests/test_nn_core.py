@@ -374,6 +374,23 @@ class TestSplineKernel:
         expected = 0.3 - 1.5 * (0.5 + 0.25)
         assert forward(net, np.array([0.5]))[0] == expected
 
+    def test_training_step_sorts_tied_rows_stably(self, monkeypatch):
+        # the batch sums of delta follow the order of tied rows, so the
+        # training step must not take the unstable sort of `forward`
+        made = []
+
+        class Recorded(nn_core._Spline):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(nn_core, "_Spline", Recorded)
+        net = kinked_spline_net(-0.8)
+        x = np.round(np.random.default_rng(3).uniform(-2, 2, 512), 1)  # ties in u
+        _batch_loss_and_grads(net, x, np.sin(x), np.ones(512), 0.0)
+        u = x * net.layers[0].weights[0, 0] + net.layers[0].biases[0]
+        np.testing.assert_array_equal(made[0].order, u.argsort(kind="stable"))
+
     def test_same_seed_training_is_bit_identical(self):
         def run():
             net = build_network((32,), "relu", np.random.default_rng(3))
@@ -472,6 +489,63 @@ def test_piece_table_matches_dense_pass(case):
     assert _piece_table(net, x.min(), x.max())[1].size <= bound
 
 
+def kinked_deep_net(w1: float = 1.0) -> SubNetwork:
+    """A (64, 64) relu network with its 64 first-layer kinks spread over
+    x in (-1.9, 1.9): its table on (-2, 2) has more than 64 pieces."""
+    net = build_network((64, 64), "relu", np.random.default_rng(0))
+    inp, hidden = net.layers[:2]
+    inp.weights[:], inp.biases[:] = w1, 0.0
+    hidden.biases[:] = -hidden.weights[:, 0] * w1 * np.linspace(-1.9, 1.9, 64)
+    net.layers[2].biases[:] = np.random.default_rng(1).normal(0.0, 0.3, 64)
+    return net
+
+
+def kinked_spline_net(w1: float = 1.0) -> SubNetwork:
+    """A (1024,) relu network with N(0, 1) hidden biases: knots spread over u."""
+    net = build_network((1024,), "relu", np.random.default_rng(0))
+    net.layers[0].weights[:] = w1
+    net.layers[1].biases[:] = np.random.default_rng(1).normal(0.0, 1.0, 1024)
+    return net
+
+
+_UNIFORM = np.random.default_rng(2).uniform(-2.0, 2.0, 3000)
+# inputs on which a sort has ties to break, or is already done (forwards or
+# backwards); 3000 rows span several blocks when the block is made small
+ROW_ORDER_INPUTS = {
+    "one_decimal": np.round(_UNIFORM, 1),
+    "constant": np.full(3000, 0.7),
+    "sorted": np.sort(_UNIFORM),
+    "reversed": np.sort(_UNIFORM)[::-1].copy(),
+}
+
+
+class TestForwardRowOrder:
+    """`forward` sorts rows with an unstable sort: no output may depend on
+    the order of the rows or on how ties among them are broken."""
+
+    @pytest.mark.parametrize("w1", [1.0, -0.8])
+    @pytest.mark.parametrize("inputs", ROW_ORDER_INPUTS)
+    @pytest.mark.parametrize("make_net", [kinked_spline_net, kinked_deep_net])
+    def test_bit_identical_under_row_permutation(self, make_net, inputs, w1, monkeypatch):
+        net, x = make_net(w1), ROW_ORDER_INPUTS[inputs]
+        monkeypatch.setattr(nn_core, "FORWARD_BLOCK_FLOATS", 1000)
+        out = forward(net, x)
+        for seed in range(3):
+            perm = np.random.default_rng(seed).permutation(x.size)
+            np.testing.assert_array_equal(forward(net, x[perm]), out[perm])
+        np.testing.assert_array_equal(forward(net, x[::-1].copy()), out[::-1])
+        np.testing.assert_allclose(out, dense_forward(net, x), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("w1", [1.0, -0.8])
+    @pytest.mark.parametrize("inputs", ROW_ORDER_INPUTS)
+    def test_sorted_and_unsorted_table_searches_agree(self, inputs, w1, monkeypatch):
+        net, x = kinked_deep_net(w1), ROW_ORDER_INPUTS[inputs]
+        assert _piece_table(net, -2.0, 2.0)[1].size > nn_core.SORTED_SEARCH_MIN_EDGES
+        sorted_search = forward(net, x)
+        monkeypatch.setattr(nn_core, "SORTED_SEARCH_MIN_EDGES", np.inf)
+        np.testing.assert_array_equal(forward(net, x), sorted_search)
+
+
 def forward_peak_bytes(net, n):
     """Peak bytes tracemalloc sees allocated by one forward over n rows."""
     x = np.random.default_rng(1).uniform(-2, 2, n)
@@ -501,12 +575,7 @@ class TestForwardMemory:
 
     def test_piece_table_peak_bytes_per_row(self):
         # the output and one block of piece indices and gathered coefficients
-        net = build_network((64, 64), "relu", np.random.default_rng(0))
-        inp, hidden = net.layers[:2]
-        inp.weights[:], inp.biases[:] = 1.0, 0.0
-        # hidden kinks spread over the input range (-2, 2) of forward_peak_bytes
-        hidden.biases[:] = -hidden.weights[:, 0] * np.linspace(-1.9, 1.9, 64)
-        net.layers[2].biases[:] = np.random.default_rng(1).normal(0.0, 0.3, 64)
+        net = kinked_deep_net()
         assert _piece_table(net, -2.0, 2.0)[1].size > 64
         assert forward_peak_bytes(net, 100_000) <= 24 * 100_000
 

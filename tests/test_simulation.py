@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -80,6 +83,22 @@ class TestScenario:
     def test_non_finite_or_negative_seed_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             ScenarioSpec(**{field: value})
+
+    @pytest.mark.parametrize("kwargs,message", [
+        # the square overflows, then inf - inf is NaN
+        ({"covariate_low": 1e307, "covariate_high": 1.5e307},
+         "'square' of x1 is not finite with covariate_low=1e+307 and covariate_high=1.5e+307"),
+        # the sum of 2e308 overflows to inf; the mean of 2x overflows
+        ({"alpha0": 1e308, "noise_mean": 1e308}, "response y is not finite with alpha0=1e+308"),
+        ({"noise_sd": 1e308}, "noise_sd=1e+308"),
+        ({"covariate_low": 8e307, "covariate_high": 8.9e307, "true_functions": ("double",)},
+         "'double' of x1 is not finite"),
+    ], ids=["square", "intercept", "noise", "centering"])
+    def test_overflowing_scenario_is_a_config_error(self, kwargs, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                generate_scenario(ScenarioSpec(n=1000, **kwargs))
 
     @pytest.mark.parametrize("kwargs,message", [
         ({"n": 2.5}, "n must be an integer"),
