@@ -536,14 +536,13 @@ class TestForwardRowOrder:
         np.testing.assert_array_equal(forward(net, x[::-1].copy()), out[::-1])
         np.testing.assert_allclose(out, dense_forward(net, x), rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("w1", [1.0, -0.8])
     @pytest.mark.parametrize("inputs", ROW_ORDER_INPUTS)
-    def test_sorted_and_unsorted_table_searches_agree(self, inputs, w1, monkeypatch):
-        net, x = kinked_deep_net(w1), ROW_ORDER_INPUTS[inputs]
-        assert _piece_table(net, -2.0, 2.0)[1].size > nn_core.SORTED_SEARCH_MIN_EDGES
-        sorted_search = forward(net, x)
-        monkeypatch.setattr(nn_core, "SORTED_SEARCH_MIN_EDGES", np.inf)
-        np.testing.assert_array_equal(forward(net, x), sorted_search)
+    def test_ascending_order_sorts_and_skips_the_sort_of_monotone_rows(self, inputs):
+        x = ROW_ORDER_INPUTS[inputs]
+        for v in (x, x[::-1].copy(), x[:1]):
+            order = nn_core._ascending_order(v)
+            np.testing.assert_array_equal(v[order], np.sort(v))
+            assert isinstance(order, slice) == (inputs != "one_decimal" or v.size == 1)
 
 
 def forward_peak_bytes(net, n):
