@@ -3,7 +3,9 @@
 Within a sweep the terms are visited in formula order and each sees the
 residuals left by the terms already updated this sweep (Gauss-Seidel).
 After every term fit the estimate is mean-centered over the training rows
-so the intercept stays identifiable. Sweeping stops when the summed
+so the intercept stays identifiable, and after every sweep the intercept
+is refitted by the constant smoother: the weighted mean of what the terms
+leave of the working response. Sweeping stops when the summed
 squared change of all term functions, relative to their previous summed
 squares, drops below the configured threshold, or when the sweep cap is
 reached. Networks and their optimizer state persist across sweeps and
@@ -205,11 +207,14 @@ def backfit(
 ) -> BackfitState:
     """Run backfitting sweeps until the change ratio converges or the cap hits.
 
-    The intercept state.alpha is held fixed throughout; the caller sets it
-    per local-scoring iteration. The first sweep from the all-zero state
-    has a zero denominator, so its criterion is skipped and at least one
-    full fitting pass always happens. Each sweep appends its record to
-    state.sweeps. A term whose training loss is not finite, such as a
+    The caller sets the starting intercept state.alpha, the weighted mean
+    of z. Each sweep ends by refitting it as the weighted mean of z minus
+    the terms' fitted sum: the terms are centered unweighted, so under
+    unequal weights the intercept must take up their weighted mean for
+    alpha plus the terms to be a fixed point of weighted backfitting.
+    The first sweep from the all-zero state has a zero denominator, so its
+    criterion is skipped and at least one full fitting pass always
+    happens. Each sweep appends its record to state.sweeps. A term whose training loss is not finite, such as a
     squared residual that overflowed, raises NumericInstabilityError.
     """
     state.sweeps = []
@@ -224,6 +229,10 @@ def backfit(
                 raise NumericInstabilityError(f"non-finite training loss for term {est.name!r}")
             losses[est.name] = loss
             shifts[est.name] = center_term(est)
+        if np.any(w != w[0]):
+            # the constant smoother; under equal weights the centered terms have
+            # mean zero already, and alpha stays the mean of z set by the caller
+            state.alpha = float(np.sum(w * (z - state.fitted_sum())) / np.sum(w))
         ratio = fitted_change_ratio(prev, [e.fitted_values for e in state.estimators])
         state.sweeps.append(Sweep(losses, shifts, ratio, _dt.datetime.now()))
         if ratio is not None and ratio < config.bf_threshold:

@@ -2,9 +2,10 @@
 
 The fit starts from the intercept at the weighted mean response. Each
 iteration linearizes the likelihood at the current fit, producing a
-working response and weights from the family tables, re-estimates the
-intercept as the weighted mean of the working response, and delegates the
-additive fit to backfitting. Convergence is judged by the relative drop
+working response and weights from the family tables, starts the
+intercept at the weighted mean of the working response, and delegates the
+additive fit to backfitting, which refits the intercept after every sweep
+along with the terms. Convergence is judged by the relative drop
 in deviance; the identity-link Gaussian case needs no relinearization, so
 it runs exactly one iteration. The start, the working weights and the
 deviance all weight each row by its sample weight, so the response of a

@@ -19,7 +19,10 @@ a model only if writing it back reproduces the stored payload's
 canonical text. Floats are written with full round-trip precision, so
 a loaded model predicts bit-identically to the original on the same
 data; it needs that data passed in. A model, fitted or loaded, keeps no
-optimizer state: it predicts but does not resume training.
+optimizer state: it predicts but does not resume training. Its networks
+are frozen: their parameters are read-only, and each network the spline
+kernel does not take keeps the piece table it predicts through, built
+once when the model is constructed.
 """
 
 from __future__ import annotations
@@ -54,7 +57,9 @@ class FittedModel:
     None for a model loaded from file, which stores no training rows.
     `family` is built from `config.family`, and `terms` maps each term name
     to its estimator. A model predicts but never resumes training, so the
-    smooth terms' optimizer state is dropped here.
+    smooth terms' optimizer state is dropped here and their networks are
+    frozen (`SubNetwork.freeze`): read-only, each deep one with its piece
+    table built once, from the fitted or the loaded weights.
     """
 
     formula: Formula
@@ -75,6 +80,7 @@ class FittedModel:
         for est in self.estimators:
             if est.kind == SMOOTH:
                 est.adam = est.shuffle_rng = None
+                est.net.freeze()
 
     # ------------------------------------------------------------------
     # prediction
@@ -90,7 +96,8 @@ class FittedModel:
         term columns); type='response' maps the link through the inverse
         link function. Only a model returned by `fit` knows its training
         rows: on a model loaded from file, omitting `newdata` raises
-        DataValidationError.
+        DataValidationError. So does a term column or an additive predictor
+        that overflows to a non-finite value.
         """
         if type not in PREDICT_TYPES:
             raise ConfigError(f"predict type must be one of {PREDICT_TYPES}, got {type!r}")
@@ -110,6 +117,8 @@ class FittedModel:
             rows = self.n if newdata is None else newdata.n
             return np.column_stack(cols) if cols else np.empty((rows, 0))
         eta = self.alpha + np.sum(np.column_stack(cols), axis=1)
+        if not np.all(np.isfinite(eta)):
+            raise DataValidationError("the additive predictor overflows to a non-finite value")
         if type == "link":
             return eta
         return self.family.inverse_link(eta)
@@ -140,7 +149,10 @@ class FittedModel:
                 f"[{lo:.6g}, {hi:.6g}]; network extrapolation is unreliable",
                 stacklevel=3,
             )
-        return est.predict(x)
+        col = est.predict(x)
+        if not np.all(np.isfinite(col)):
+            raise DataValidationError(f"term {name!r}: prediction overflows to a non-finite value")
+        return col
 
     # ------------------------------------------------------------------
     # reporting

@@ -48,19 +48,23 @@ Which code runs is read off the layer list.
 
 Piece table. Every other network (deeper, or linear hidden units) is
 still a continuous piecewise-linear function of x, with a number of pieces
-that depends on its units and not on n. `forward` builds that function
-on [min x, max x] as a table (`_piece_table`): walking the layers, it keeps
-each piece's pre-activations as S*x + O, splits the pieces at a relu
-layer's zero crossings -O/S inside them, masks each unit by the side of
-its crossing the piece lies on, and multiplies by the next layer. Each row
-then costs one searchsorted into the edges and one multiply-add, over
-blocks of FORWARD_BLOCK_FLOATS rows, so the output is the only row-sized
-array. Each block is put in ascending order like u above and searched in
-that order: into a table of 32 inner edges or more that costs less than
-searching the rows as they come, below it more. The piece of each row,
-and so its output, does not depend on the order of the search. These
-networks train through the dense pass (`_forward_cached`, `_dense_grads`),
-which is also the tests' oracle for the kernel and the table.
+that depends on its units and not on n. `_piece_table` builds that
+function over the whole real line as a table: starting from the one piece
+(-inf, inf) and walking the layers, it keeps each piece's pre-activations
+as S*x + O, splits the pieces at a relu layer's zero crossings -O/S inside
+them, masks each unit by the side of its crossing the piece lies on, and
+multiplies by the next layer. The table depends on the weights alone, so
+a frozen network (`SubNetwork.freeze`, which every fitted or loaded model
+calls) keeps it in `table`, and `forward` builds it only for a network
+still in training. Each row then costs one searchsorted into the edges
+and one multiply-add, over blocks of FORWARD_BLOCK_FLOATS rows, so the
+output is the only row-sized array. Each block is put in ascending order
+like u above and searched in that order: into a table of 32 inner edges
+or more that costs less than searching the rows as they come, below it
+more. The piece of each row, and so its output, does not depend on the
+order of the search or on which rows come with it. These networks train
+through the dense pass (`_forward_cached`, `_dense_grads`), which is also
+the tests' oracle for the kernel and the table.
 """
 
 from __future__ import annotations
@@ -111,22 +115,39 @@ class SubNetwork:
     `params` is the one float64 vector holding every parameter: each
     layer's weights then biases, in layer order. The layers' `weights` and
     `biases` are reshaped views of it, so writing either updates the other.
+    `table` is the piece table `forward` reads, set by `freeze` on a network
+    the spline kernel does not take, else None.
     """
 
     layers: list[DenseLayer]
     params: np.ndarray = field(init=False, repr=False)
+    table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.params = np.concatenate(
             [a.ravel() for layer in self.layers for a in (layer.weights, layer.biases)],
             dtype=np.float64,
         )
-        for layer, (weights, biases) in zip(self.layers, self.layer_views(self.params)):
-            layer.weights, layer.biases = weights, biases
+        self._bind_views()
 
     def __deepcopy__(self, memo) -> SubNetwork:
         # a deep-copied view would own its memory; rebuild the views instead
         return SubNetwork([replace(layer) for layer in self.layers])
+
+    def _bind_views(self) -> None:
+        for layer, (weights, biases) in zip(self.layers, self.layer_views(self.params)):
+            layer.weights, layer.biases = weights, biases
+
+    def freeze(self) -> None:
+        """Make `params` and every layer view read-only, and store the piece table.
+
+        Views made before would stay writable, so the layers get new ones.
+        A deep copy is a writable network again, without a table.
+        """
+        self.params.flags.writeable = False
+        self._bind_views()
+        if not _is_spline(self):
+            self.table = _piece_table(self)
 
     def parameter_count(self) -> int:
         return self.params.size
@@ -193,7 +214,7 @@ def forward(net: SubNetwork, x: np.ndarray) -> np.ndarray:
         spline = _Spline(net, x, stable=False)
         out[spline.order] = spline.f
         return out
-    edges, slope, offset = _piece_table(net, x.min(), x.max())
+    edges, slope, offset = net.table or _piece_table(net)
     inner = edges[1:-1]
     for start in range(0, x.size, FORWARD_BLOCK_FLOATS):
         block = slice(start, start + FORWARD_BLOCK_FLOATS)
@@ -221,15 +242,17 @@ def _ascending_order(v: np.ndarray) -> slice | np.ndarray:
     return v.argsort()
 
 
-def _piece_table(net: SubNetwork, lo: float, hi: float):
-    """The network on [lo, hi] as a table of linear pieces.
+def _piece_table(net: SubNetwork):
+    """The network over the whole real line as a table of linear pieces.
 
-    Returns (edges, slope, offset): piece p spans [edges[p], edges[p + 1]]
-    and the network is slope[p]*x + offset[p] on it. Each relu layer of
-    width H splits every piece at most H times, so there are at most
-    prod(H_l + 1) pieces over the relu layers, whatever the number of rows.
+    Returns (edges, slope, offset): piece p spans [edges[p], edges[p + 1]],
+    from edges[0] = -inf to edges[-1] = inf, and the network is
+    slope[p]*x + offset[p] on it. Each relu layer of width H splits every
+    piece at most H times, so there are at most prod(H_l + 1) pieces over
+    the relu layers. One table serves every set of rows, so a training
+    refresh and a prediction on the same rows give the same values.
     """
-    edges = np.array([lo, hi])
+    edges = np.array([-np.inf, np.inf])
     # pre-activations S*x + O of the current layer, one row per piece
     slope, offset = np.ones((1, 1)), np.zeros((1, 1))
     for layer in net.layers:
@@ -242,7 +265,7 @@ def _piece_table(net: SubNetwork, lo: float, hi: float):
             cross = -offset / slope
         inside = (cross > edges[:-1, None]) & (cross < edges[1:, None])
         # a crossing inside one piece lies in no other, so only units that
-        # cross at one point repeat; lo == hi stays one piece of width 0
+        # cross at one point repeat
         cuts = np.sort(np.concatenate([edges, np.unique(cross[inside])]))
         parent = edges[1:-1].searchsorted(cuts[:-1], side="right")
         edges, slope, offset, cross = cuts, slope[parent], offset[parent], cross[parent]

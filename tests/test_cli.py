@@ -439,6 +439,30 @@ class TestPredict:
         assert "UserWarning" not in err
         assert all(line.startswith("gannet: warning: ") for line in err.splitlines())
 
+    @pytest.mark.parametrize("command", [["predict", "--type", "terms"], ["predict"],
+                                         ["partial-effects"]],
+                             ids=["terms", "link", "partial-effects"])
+    def test_overflowing_prediction_exit_2(self, trained, tmp_path, capsys, command):
+        # x2's slope is about 2, so its term overflows at x2 = +-1.7e308
+        model_path, _ = trained
+        columns = {name: np.full(2, 0.5) for name in ("x1", "x2", "x3")}
+        columns["x2"] = np.array([1.7e308, -1.7e308])
+        Dataset(columns).to_csv(tmp_path / "huge.csv")
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            # numpy's overflow warnings print as `gannet: warning:` lines
+            warnings.simplefilter("default", RuntimeWarning)
+            rc = main([*command, "--model", str(model_path), "--out", str(out),
+                       "--data", str(tmp_path / "huge.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        # numpy's overflow warning stays: it says which operation overflowed
+        assert any(line.startswith("gannet: warning: overflow") for line in err)
+        errors = [line for line in err if line.startswith("gannet: error:")]
+        assert errors == ["gannet: error: term 'x2': prediction overflows to a non-finite value"]
+        assert not out.exists()
+
     def test_schema_mismatch_exit_2(self, trained, tmp_path, capsys):
         model_path, _ = trained
         bad = tmp_path / "bad.csv"

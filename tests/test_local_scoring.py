@@ -99,6 +99,16 @@ class TestGaussianRun:
         # after the single iteration alpha equals the mean of z = y
         assert state.alpha == pytest.approx(float(np.mean(data.column("y"))), rel=1e-12)
 
+    def test_equal_weights_leave_alpha_at_the_mean_bit_for_bit(self):
+        # the centered terms' mean is rounding noise, about 1e-17, which the
+        # refit would add to an intercept near 0, whose ulps are finer
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-2, 2, 400)
+        y = np.sin(x) + rng.normal(0, 0.2, 400)
+        state, _ = local_scoring(Dataset({"x": x, "y": y}), parse_formula("y ~ s(x)"),
+                                 Gaussian(), cfg(max_iter_backfitting=3))
+        assert state.alpha == float(np.mean(y))
+
     def test_exactly_one_iteration_regardless_of_thresholds(self, backfit_calls):
         data = self.make_data()
         for ls_threshold in (1e-12, 0.1, 100.0):
@@ -279,3 +289,44 @@ class TestSampleWeights:
             save_model(fit(data, "y ~ s(x)", cfg(family=family, w_train="w", seed=seed)),
                        tmp_path / f"{name}.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def correlated_linear_data():
+    """2,000 rows: x1 ~ N(0, 1), x2 = 0.7 x1 + N(0, 1), weights ~ U[0.2, 2],
+    a Gaussian response and a binomial one, each linear in x1 and x2."""
+    rng = np.random.default_rng(0)
+    n = 2000
+    x1 = rng.normal(0.0, 1.0, n)
+    x2 = 0.7 * x1 + rng.normal(0.0, 1.0, n)
+    w = rng.uniform(0.2, 2.0, n)
+    y = 1.0 + 0.5 * x1 - 0.8 * x2 + rng.normal(0.0, 1.0, n)
+    p = 1.0 / (1.0 + np.exp(-(0.3 + 0.8 * x1 - 0.5 * x2)))
+    flips = (rng.random(n) < p).astype(np.float64)
+    return {"x1": x1, "x2": x2, "w": w, "y": y, "flips": flips}
+
+
+class TestLinearOracles:
+    """With linear terms only, a converged fit has a closed form: weighted
+    backfitting reaches the normal equations (Buja, Hastie & Tibshirani
+    1989) and local scoring the logistic-regression MLE. Both need the
+    intercept refitted in the cycle, as the terms are centered unweighted."""
+
+    def test_weighted_gaussian_reaches_normal_equations(self):
+        d = correlated_linear_data()
+        model = fit(d, "y ~ x1 + x2",
+                    cfg(w_train="w", max_iter_backfitting=200, bf_threshold=1e-12))
+        X = np.column_stack([np.ones(d["y"].size), d["x1"], d["x2"]])
+        beta = np.linalg.solve(X.T @ (d["w"][:, None] * X), X.T @ (d["w"] * d["y"]))
+        assert np.max(np.abs(model.predict(type="link") - X @ beta)) <= 1e-5
+
+    def test_binomial_reaches_newton_solve(self):
+        d = correlated_linear_data()
+        model = fit(d, "flips ~ x1 + x2",
+                    cfg(family="binomial", max_iter_backfitting=200, bf_threshold=1e-14,
+                        max_iter_ls=100, ls_threshold=1e-12))
+        X = np.column_stack([np.ones(d["y"].size), d["x1"], d["x2"]])
+        y, beta = d["flips"], np.zeros(3)
+        for _ in range(50):
+            mu = 1.0 / (1.0 + np.exp(-X @ beta))
+            beta += np.linalg.solve(X.T @ ((mu * (1.0 - mu))[:, None] * X), X.T @ (y - mu))
+        assert np.max(np.abs(model.predict(type="link") - X @ beta)) <= 1e-5

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gannet import nn_core
 from gannet.config import FitConfig
 from gannet.data import Dataset
 from gannet.exceptions import (
@@ -175,6 +176,21 @@ class TestPredict:
             model.predict(wide, type=type)
         assert [w.filename for w in record] == [__file__]
 
+    def test_overflowing_additive_predictor_rejected(self):
+        # each term column is finite, their sum is not
+        rng = np.random.default_rng(3)
+        x1, x2 = rng.uniform(-1, 1, (2, 200))
+        model = fit(Dataset({"x1": x1, "x2": x2, "y": 2.0 * x1 - 3.0 * x2}), "y ~ x1 + x2", cfg())
+        big = np.finfo(np.float64).max * 0.3
+        newdata = {"x1": np.array([big]), "x2": np.array([-big / 1.5])}
+        with pytest.warns(UserWarning, match="outside the training range"):
+            assert np.all(np.isfinite(model.predict(newdata, type="terms")))
+        for type in ("link", "response"):
+            with pytest.warns(UserWarning, match="outside the training range"):
+                with pytest.raises(DataValidationError, match="additive predictor overflows"):
+                    with np.errstate(over="ignore"):
+                        model.predict(newdata, type=type)
+
     def test_training_predictions_match_recomputation(self, mixed_model_and_data):
         # feeding the training covariates back through the networks agrees
         # with the stored additive predictor
@@ -182,6 +198,41 @@ class TestPredict:
         np.testing.assert_allclose(
             model.predict(data, type="link"), model.training_eta, atol=1e-10
         )
+
+
+class TestFrozenNetworks:
+    def test_piece_table_built_once_per_deep_term(self, tmp_path, monkeypatch):
+        built = []
+        real = nn_core._piece_table
+        monkeypatch.setattr(nn_core, "_piece_table", lambda net: built.append(net) or real(net))
+        rng = np.random.default_rng(6)
+        x, z, v = rng.uniform(-2, 2, (3, 300))
+        data = Dataset({"x": x, "z": z, "v": v, "y": np.sin(x) + z * z + v})
+        model = fit(data, "y ~ s(x) + s(z) + v", cfg(num_units=(16, 16), max_iter_backfitting=2))
+        nets = [model.terms["x"].net, model.terms["z"].net]
+        sweeps = sum(len(rec.sweeps) for rec in model.trace.iterations)
+        # one per training refresh of a deep term, then one per deep term as the model is built
+        assert len(built) == 2 * sweeps + 2
+        assert all(a is b for a, b in zip(built[-2:], nets, strict=True))
+        save_model(model, tmp_path / "m.json")
+        built.clear()
+        loaded = load_model(tmp_path / "m.json")
+        assert all(a is b for a, b in zip(built, [loaded.terms["x"].net, loaded.terms["z"].net],
+                                          strict=True))
+        built.clear()
+        for source, newdata in ((model, None), (model, data), (loaded, data)):
+            for type in ("link", "response", "terms"):
+                source.predict(newdata, type=type)
+        assert built == []
+
+    def test_fitted_and_loaded_weights_are_read_only(self, mixed_model_and_data, tmp_path):
+        model, _ = mixed_model_and_data
+        save_model(model, tmp_path / "m.json")
+        for source in (model, load_model(tmp_path / "m.json")):
+            net = source.terms["x1"].net
+            for arr in (net.params, net.layers[1].weights, net.layers[1].biases):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0.0
 
 
 class TestSummaries:
@@ -259,6 +310,8 @@ class TestSerialization:
         for type in ("link", "response", "terms"):
             np.testing.assert_array_equal(loaded.predict(data, type=type),
                                           model.predict(data, type=type))
+        # the fitted values come from the table that predicts, so they agree bit for bit
+        np.testing.assert_array_equal(model.predict(type="link"), model.predict(data, type="link"))
 
     def test_same_seed_identical_files(self, tmp_path):
         rng = np.random.default_rng(2)

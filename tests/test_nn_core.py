@@ -239,6 +239,39 @@ class TestParameterVector:
         assert not np.array_equal(clone.params, original)
         np.testing.assert_array_equal(net.params, original)
 
+    @pytest.mark.parametrize("num_units", [(8,), (8, 8)])
+    def test_freeze_makes_every_parameter_read_only(self, num_units):
+        net = build_network(num_units, "relu", np.random.default_rng(0))
+        net.freeze()
+        for arr in (net.params, *(a for l in net.layers for a in (l.weights, l.biases))):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+        assert_views_of_own_params([net])
+
+    def test_freeze_stores_the_table_of_a_deep_net_only(self):
+        spline, deep = (build_network(units, "relu", np.random.default_rng(0))
+                        for units in ((8,), (8, 8)))
+        x = np.random.default_rng(1).uniform(-3, 3, 500)
+        before = forward(deep, x)
+        spline.freeze()
+        deep.freeze()
+        assert spline.table is None
+        for stored, fresh in zip(deep.table, _piece_table(deep)):
+            np.testing.assert_array_equal(stored, fresh)
+        np.testing.assert_array_equal(forward(deep, x), before)
+
+    def test_deep_copy_of_a_frozen_net_is_writable_and_trains(self):
+        net = build_network((8, 8), "relu", np.random.default_rng(0))
+        net.freeze()
+        original = net.params.copy()
+        clone = copy.deepcopy(net)
+        assert clone.table is None and clone.params.flags.writeable
+        assert_views_of_own_params([net, clone])
+        x = np.linspace(-1, 1, 20)
+        train_one_epoch(clone, x, x**2, np.ones(20), AdamState(0.01), 5, np.random.default_rng(1))
+        assert not np.array_equal(clone.params, original)
+        np.testing.assert_array_equal(net.params, original)
+
     def test_in_place_layer_write_shows_in_params(self):
         net = build_network((4,), "relu", np.random.default_rng(0))
         net.layers[1].weights[2, 0] = 42.0
@@ -470,9 +503,9 @@ def piece_table_cases(draw):
     if shape == "all_equal":
         rows = rows[:1] * draw(st.integers(1, 5))
     elif shape == "on_edges":
-        # the table of [min, max] again: its edges lie inside that range
-        edges = _piece_table(net, min(rows), max(rows))[0]
-        rows += [float(e) for e in edges]
+        # the table's inner edges within the rows' range
+        edges = _piece_table(net)[0][1:-1]
+        rows += [float(e) for e in edges if min(rows) <= e <= max(rows)]
     repeats = draw(st.integers(0, len(rows)))
     return net, np.array(rows + rows[:repeats])
 
@@ -481,12 +514,16 @@ def piece_table_cases(draw):
 @given(case=piece_table_cases())
 def test_piece_table_matches_dense_pass(case):
     net, x = case
-    oracle = dense_forward(net, x)
-    table = without_spline(forward, net, x)
-    assert np.max(np.abs(table - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
+    # the table covers the whole line: rows far outside any data range too
+    for rows in (x, np.array([-1e6, 1e6])):
+        oracle = dense_forward(net, rows)
+        table = without_spline(forward, net, rows)
+        assert np.max(np.abs(table - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
+    edges, slope, _ = _piece_table(net)
+    assert (edges[0], edges[-1]) == (-np.inf, np.inf)
     # each relu layer of width H splits a piece at most H times
     bound = math.prod(l.fan_out + 1 for l in net.layers if l.activation == "relu")
-    assert _piece_table(net, x.min(), x.max())[1].size <= bound
+    assert slope.size <= bound
 
 
 def kinked_deep_net(w1: float = 1.0) -> SubNetwork:
@@ -575,7 +612,7 @@ class TestForwardMemory:
     def test_piece_table_peak_bytes_per_row(self):
         # the output and one block of piece indices and gathered coefficients
         net = kinked_deep_net()
-        assert _piece_table(net, -2.0, 2.0)[1].size > 64
+        assert _piece_table(net)[1].size > 64
         assert forward_peak_bytes(net, 100_000) <= 24 * 100_000
 
 
