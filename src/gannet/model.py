@@ -20,9 +20,8 @@ canonical text. Floats are written with full round-trip precision, so
 a loaded model predicts bit-identically to the original on the same
 data; it needs that data passed in. A model, fitted or loaded, keeps no
 optimizer state: it predicts but does not resume training. Its networks
-are frozen: their parameters are read-only, and each network the spline
-kernel does not take keeps the piece table it predicts through, built
-once when the model is constructed.
+are frozen: their parameters are read-only, and every network keeps the
+piece table it predicts through, built once when the model is constructed.
 """
 
 from __future__ import annotations
@@ -58,8 +57,8 @@ class FittedModel:
     `family` is built from `config.family`, and `terms` maps each term name
     to its estimator. A model predicts but never resumes training, so the
     smooth terms' optimizer state is dropped here and their networks are
-    frozen (`SubNetwork.freeze`): read-only, each deep one with its piece
-    table built once, from the fitted or the loaded weights.
+    frozen (`SubNetwork.freeze`): read-only, every one with its piece table
+    built once, from the fitted or the loaded weights.
     """
 
     formula: Formula

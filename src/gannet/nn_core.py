@@ -18,23 +18,18 @@ layers view. A batch gradient is one vector in the same layout, written in
 place by the backward pass (`gradients` returns per-layer views of it), and
 an Adam step (Kingma & Ba 2015) is one fused update of `params` from it.
 
-Spline kernel. A network of exactly one relu hidden layer (the default
+Training kernel. A network of exactly one relu hidden layer (the default
 configuration) is a linear spline of u = w1*x + b1: with hidden weights
 a, biases b, output weights v and output bias c,
 f(u) = c + A(u)*u + C(u), where A and C sum v_k*a_k and v_k*b_k over the
 units active at u. Unit k is active when a_k*u + b_k > 0 (strictly, as
 relu'(0) = 0 in the dense code): above its knot t_k = -b_k/a_k when
 a_k > 0, below it when a_k < 0, and everywhere or nowhere when a_k = 0,
-by the sign of b_k. `forward` and `_batch_loss_and_grads` sort u, place
-every knot among the sorted rows and take prefix/suffix sums, which costs
-O((n + H) log n) time and O(n + H) memory instead of O(nH). `forward`
-sorts with numpy's default argsort, which on a CPU with AVX-512 was 4-6
-times as fast as the stable one on random rows: rows of equal u get the
-same u, and no knot is placed between them, so they get the same slope,
-offset and output whatever their order. Rows already in ascending or
-descending order of u are not sorted at all (`_ascending_order`), as the
-default sort is slow on descending input. The training step sorts stably,
-because its sums of delta over the rows depend on the order of tied rows.
+by the sign of b_k (`_knots`). The training step (`_batch_loss_and_grads`
+through `_Spline`) sorts a batch's u stably, places every knot among the
+sorted rows and takes prefix/suffix sums, which costs O((n + H) log n)
+time and O(n + H) memory instead of O(nH). The sort is stable because the
+step's sums of delta over the rows depend on the order of tied rows.
 The knots are placed in ascending order (argsort, then two searchsorted
 calls): the same positions as searching them in unit order, at under half
 the cost on fresh inputs, as numpy starts each search of an ascending key
@@ -44,27 +39,30 @@ sum. The batch gradients follow from the sums S0_k and S1_k of delta and
 delta*u over each unit's active rows, read from one table of their prefix
 and suffix sums: dv_k = a_k*S1_k + b_k*S0_k, da_k = v_k*S1_k,
 db_k = v_k*S0_k, and the input layer sees delta*A(u).
-Which code runs is read off the layer list.
 
-Piece table. Every other network (deeper, or linear hidden units) is
-still a continuous piecewise-linear function of x, with a number of pieces
-that depends on its units and not on n. `_piece_table` builds that
-function over the whole real line as a table: starting from the one piece
-(-inf, inf) and walking the layers, it keeps each piece's pre-activations
-as S*x + O, splits the pieces at a relu layer's zero crossings -O/S inside
-them, masks each unit by the side of its crossing the piece lies on, and
-multiplies by the next layer. The table depends on the weights alone, so
-a frozen network (`SubNetwork.freeze`, which every fitted or loaded model
-calls) keeps it in `table`, and `forward` builds it only for a network
-still in training. Each row then costs one searchsorted into the edges
-and one multiply-add, over blocks of FORWARD_BLOCK_FLOATS rows, so the
-output is the only row-sized array. Each block is put in ascending order
-like u above and searched in that order: into a table of 32 inner edges
-or more that costs less than searching the rows as they come, below it
-more. The piece of each row, and so its output, does not depend on the
-order of the search or on which rows come with it. These networks train
-through the dense pass (`_forward_cached`, `_dense_grads`), which is also
-the tests' oracle for the kernel and the table.
+Piece table. Every network is a continuous piecewise-linear function of
+x, with a number of pieces that depends on its units and not on n, and
+`forward` evaluates it through a table of those pieces over the whole real
+line. A one-relu-layer network's table comes from its sorted knots
+(`_knot_table`). Any other goes through the general builder: starting
+from the one piece (-inf, inf) and walking the layers, it keeps each
+piece's pre-activations as S*x + O, splits the pieces at a relu layer's
+zero crossings -O/S inside them, masks each unit by the side of its
+crossing the piece lies on, and multiplies by the next layer. A frozen
+network (`SubNetwork.freeze`, which every fitted or loaded model calls)
+keeps its table in `table`; a network in training builds one per call.
+Each row then costs one searchsorted into the edges and one multiply-add,
+over blocks of FORWARD_BLOCK_FLOATS rows, so the output is the only
+row-sized array. A block is searched in ascending order, which into a
+table of 32 inner edges or more costs less than searching the rows as they
+come; a table of one piece needs no search. It is sorted with numpy's
+default argsort, 4-6 times as fast as the stable one on random rows on a
+CPU with AVX-512, and not at all when already ascending or descending
+(`_ascending_order`), as that sort is slow on descending input. A row's
+piece, and so its output, does not depend on the order of the search or
+on which rows come with it. Networks other than the spline train through
+the dense pass (`_forward_cached`, `_dense_grads`), which is also the
+tests' oracle for the kernel and the tables.
 """
 
 from __future__ import annotations
@@ -115,8 +113,7 @@ class SubNetwork:
     `params` is the one float64 vector holding every parameter: each
     layer's weights then biases, in layer order. The layers' `weights` and
     `biases` are reshaped views of it, so writing either updates the other.
-    `table` is the piece table `forward` reads, set by `freeze` on a network
-    the spline kernel does not take, else None.
+    `table` is the piece table `forward` reads, set by `freeze`, else None.
     """
 
     layers: list[DenseLayer]
@@ -146,8 +143,7 @@ class SubNetwork:
         """
         self.params.flags.writeable = False
         self._bind_views()
-        if not _is_spline(self):
-            self.table = _piece_table(self)
+        self.table = _piece_table(self)
 
     def parameter_count(self) -> int:
         return self.params.size
@@ -207,15 +203,11 @@ def forward(net: SubNetwork, x: np.ndarray) -> np.ndarray:
     """Evaluate the network on a vector of inputs (see the module docstring)."""
     if not np.all(np.isfinite(x)):
         raise DataValidationError("network input contains non-finite values")
-    out = np.empty_like(x)
-    if x.size == 0:
-        return out
-    if _is_spline(net):
-        spline = _Spline(net, x, stable=False)
-        out[spline.order] = spline.f
-        return out
     edges, slope, offset = net.table or _piece_table(net)
     inner = edges[1:-1]
+    if not inner.size:
+        return slope[0] * x + offset[0]
+    out = np.empty_like(x)
     for start in range(0, x.size, FORWARD_BLOCK_FLOATS):
         block = slice(start, start + FORWARD_BLOCK_FLOATS)
         order = _ascending_order(x[block])
@@ -252,6 +244,8 @@ def _piece_table(net: SubNetwork):
     the relu layers. One table serves every set of rows, so a training
     refresh and a prediction on the same rows give the same values.
     """
+    if _is_spline(net):
+        return _knot_table(net)
     edges = np.array([-np.inf, np.inf])
     # pre-activations S*x + O of the current layer, one row per piece
     slope, offset = np.ones((1, 1)), np.zeros((1, 1))
@@ -276,6 +270,34 @@ def _piece_table(net: SubNetwork):
     return edges, slope[:, 0], offset[:, 0]
 
 
+def _knot_table(net: SubNetwork):
+    """`_piece_table` of a one-relu-layer network, whose unit k is
+    relu(s_k*x + o_k): its inner edges are the sorted knots, and each piece
+    sums v_k*s_k and v_k*o_k over the rising units (s_k >= 0) left of it and
+    the falling units right of it. A row on a knot gets the piece right of
+    it, where that knot's unit adds s_k*x + o_k = 0 up to rounding."""
+    inp, hidden, out = net.layers
+    a, v = hidden.weights[:, 0], out.weights[0]
+    s, o = a * inp.weights[0, 0], a * inp.biases[0] + hidden.biases
+    knots = _knots(s, o)
+    by_knot = knots.argsort()
+    rising = s[by_knot] >= 0.0
+    terms = np.stack([v * s, v * o])[:, by_knot]
+    sums = np.zeros((2, a.size + 1))
+    np.cumsum(np.where(rising, terms, 0.0), axis=1, out=sums[:, 1:])
+    sums[:, :-1] += np.cumsum(np.where(rising, 0.0, terms)[:, ::-1], axis=1)[:, ::-1]
+    sums[1] += out.biases[0]
+    return np.concatenate([[-np.inf], knots[by_knot], [np.inf]]), *sums
+
+
+def _knots(s: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """Knots of the units relu(s*x + o): -o/s, or for s = 0, -inf if o > 0 else inf."""
+    if s.all():
+        return -o / s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s == 0.0, np.where(o > 0.0, -np.inf, np.inf), -o / s)
+
+
 def _is_spline(net: SubNetwork) -> bool:
     """True for dense(1->1, linear) -> dense(1->H, relu) -> dense(H->1, linear)."""
     acts = [layer.activation for layer in net.layers]
@@ -283,28 +305,24 @@ def _is_spline(net: SubNetwork) -> bool:
 
 
 class _Spline:
-    """A one-hidden-layer relu network evaluated as a linear spline of u.
+    """A training batch of a one-hidden-layer relu network, as a linear spline of u.
 
     Rows are held in ascending order of u = w1*x + b1 (`order` maps sorted
-    to original rows); tied rows keep their input order when `stable`.
+    to original rows); tied rows keep their input order.
     Hidden unit k is active on the sorted rows [lo_k, n) when a_k >= 0,
     else on [0, hi_k); `pos` holds the one of the two that applies. `slope`
     is A(u) and `f` the network output, both per sorted row.
     """
 
-    def __init__(self, net: SubNetwork, x: np.ndarray, stable: bool = True):
+    def __init__(self, net: SubNetwork, x: np.ndarray):
         inp, hidden, out = net.layers
         self.a, self.b, self.v = hidden.weights[:, 0], hidden.biases, out.weights[0]
         a, b, units = self.a, self.b, self.a.size
         u = x * inp.weights[0, 0] + inp.biases[0]
-        self.order = u.argsort(kind="stable") if stable else _ascending_order(u)
+        self.order = u.argsort(kind="stable")
         self.x, self.u = x, u[self.order]
         u, n = self.u, self.u.size
-        if a.all():
-            knots = -b / a
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                knots = np.where(a == 0.0, np.where(b > 0.0, -np.inf, np.inf), -b / a)
+        knots = _knots(a, b)
         # searchsorted is about twice as fast on ascending keys; equal knots
         # get equal positions, so the order among ties does not matter
         by_knot = knots.argsort()

@@ -201,17 +201,18 @@ class TestPredict:
 
 
 class TestFrozenNetworks:
-    def test_piece_table_built_once_per_deep_term(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("num_units", [(16,), (16, 16)])
+    def test_piece_table_built_once_per_term(self, num_units, tmp_path, monkeypatch):
         built = []
         real = nn_core._piece_table
         monkeypatch.setattr(nn_core, "_piece_table", lambda net: built.append(net) or real(net))
         rng = np.random.default_rng(6)
         x, z, v = rng.uniform(-2, 2, (3, 300))
         data = Dataset({"x": x, "z": z, "v": v, "y": np.sin(x) + z * z + v})
-        model = fit(data, "y ~ s(x) + s(z) + v", cfg(num_units=(16, 16), max_iter_backfitting=2))
+        model = fit(data, "y ~ s(x) + s(z) + v", cfg(num_units=num_units, max_iter_backfitting=2))
         nets = [model.terms["x"].net, model.terms["z"].net]
         sweeps = sum(len(rec.sweeps) for rec in model.trace.iterations)
-        # one per training refresh of a deep term, then one per deep term as the model is built
+        # one per training refresh of a smooth term, then one per smooth term as the model is built
         assert len(built) == 2 * sweeps + 2
         assert all(a is b for a, b in zip(built[-2:], nets, strict=True))
         save_model(model, tmp_path / "m.json")

@@ -102,8 +102,9 @@ def dense_forward(net, x):
 
 
 def without_spline(fn, *args, **kwargs):
-    """Call fn with the spline kernel switched off: batch gradients then come
-    from the dense code, the kernel's oracle, and `forward` from the piece table."""
+    """Call fn with the spline kernel and the knot table switched off: batch
+    gradients then come from the dense code, the kernel's oracle, and
+    `forward` from the general piece table, the knot table's oracle."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nn_core, "_is_spline", lambda net: False)
         return fn(*args, **kwargs)
@@ -248,17 +249,15 @@ class TestParameterVector:
                 arr[...] = 0.0
         assert_views_of_own_params([net])
 
-    def test_freeze_stores_the_table_of_a_deep_net_only(self):
-        spline, deep = (build_network(units, "relu", np.random.default_rng(0))
-                        for units in ((8,), (8, 8)))
+    @pytest.mark.parametrize("num_units", [(8,), (8, 8)])
+    def test_freeze_stores_the_table_of_every_net(self, num_units):
+        net = build_network(num_units, "relu", np.random.default_rng(0))
         x = np.random.default_rng(1).uniform(-3, 3, 500)
-        before = forward(deep, x)
-        spline.freeze()
-        deep.freeze()
-        assert spline.table is None
-        for stored, fresh in zip(deep.table, _piece_table(deep)):
+        before = forward(net, x)
+        net.freeze()
+        for stored, fresh in zip(net.table, _piece_table(net), strict=True):
             np.testing.assert_array_equal(stored, fresh)
-        np.testing.assert_array_equal(forward(deep, x), before)
+        np.testing.assert_array_equal(forward(net, x), before)
 
     def test_deep_copy_of_a_frozen_net_is_writable_and_trains(self):
         net = build_network((8, 8), "relu", np.random.default_rng(0))
@@ -514,11 +513,12 @@ def piece_table_cases(draw):
 @given(case=piece_table_cases())
 def test_piece_table_matches_dense_pass(case):
     net, x = case
-    # the table covers the whole line: rows far outside any data range too
+    # the table covers the whole line: rows far outside any data range too;
+    # a one-relu-layer net reads its knot table, or switched off, the general one
     for rows in (x, np.array([-1e6, 1e6])):
         oracle = dense_forward(net, rows)
-        table = without_spline(forward, net, rows)
-        assert np.max(np.abs(table - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
+        for table in (forward(net, rows), without_spline(forward, net, rows)):
+            assert np.max(np.abs(table - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
     edges, slope, _ = _piece_table(net)
     assert (edges[0], edges[-1]) == (-np.inf, np.inf)
     # each relu layer of width H splits a piece at most H times
@@ -602,16 +602,11 @@ class TestForwardMemory:
         rows = 200_000 - 10_000
         assert forward_peak_bytes(net, 200_000) - forward_peak_bytes(net, 10_000) <= 16 * 8 * rows
 
-    def test_kernel_peak_bytes_per_row(self):
-        # the output, the sort order, sorted u, 4 floats a row of unit
-        # sums and f: 64 bytes a row; the score workload's peak RSS rides on it
-        net = build_network((1024,), "relu", np.random.default_rng(0))
-        assert _is_spline(net)
-        assert forward_peak_bytes(net, 100_000) <= 96 * 100_000
-
-    def test_piece_table_peak_bytes_per_row(self):
-        # the output and one block of piece indices and gathered coefficients
-        net = kinked_deep_net()
+    @pytest.mark.parametrize("make_net", [kinked_spline_net, kinked_deep_net])
+    def test_piece_table_peak_bytes_per_row(self, make_net):
+        # the output and one block of piece indices and gathered coefficients;
+        # the score workload's peak RSS rides on it
+        net = make_net()
         assert _piece_table(net)[1].size > 64
         assert forward_peak_bytes(net, 100_000) <= 24 * 100_000
 
