@@ -55,7 +55,7 @@ Each row then costs one searchsorted into the edges and one multiply-add,
 over blocks of FORWARD_BLOCK_FLOATS rows, so the output is the only
 row-sized array. A block is searched in ascending order, which into a
 table of 32 inner edges or more costs less than searching the rows as they
-come; a table of one piece needs no search. It is sorted with numpy's
+come. It is sorted with numpy's
 default argsort, 4-6 times as fast as the stable one on random rows on a
 CPU with AVX-512, and not at all when already ascending or descending
 (`_ascending_order`), as that sort is slow on descending input. A row's
@@ -205,8 +205,6 @@ def forward(net: SubNetwork, x: np.ndarray) -> np.ndarray:
         raise DataValidationError("network input contains non-finite values")
     edges, slope, offset = net.table or _piece_table(net)
     inner = edges[1:-1]
-    if not inner.size:
-        return slope[0] * x + offset[0]
     out = np.empty_like(x)
     for start in range(0, x.size, FORWARD_BLOCK_FLOATS):
         block = slice(start, start + FORWARD_BLOCK_FLOATS)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gannet.cli import main
 from gannet.config import FitConfig
 from gannet.data import Dataset
-from gannet.model import fit
+from gannet.model import fit, load_model
 from gannet.svg import spaced
 
 MAX = np.finfo(np.float64).max
@@ -462,6 +462,29 @@ class TestPredict:
         errors = [line for line in err if line.startswith("gannet: error:")]
         assert errors == ["gannet: error: term 'x2': prediction overflows to a non-finite value"]
         assert not out.exists()
+
+    def test_spline_term_at_extreme_x_is_its_end_pieces(self, trained, tmp_path, capsys):
+        # the table's end pieces are the network out there, though the dense
+        # pass's hidden pre-activations overflow at +-1.7e308
+        model_path, _ = trained
+        x = np.array([1.7e308, -1.7e308])
+        columns = {name: np.full(2, 0.5) for name in ("x1", "x2", "x3")}
+        columns["x1"] = x
+        Dataset(columns).to_csv(tmp_path / "huge.csv")
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no numpy overflow
+            rc = main(["predict", "--type", "terms", "--terms", "x1", "--model", str(model_path),
+                       "--out", str(out), "--data", str(tmp_path / "huge.csv")])
+        assert rc == 0
+        assert not any("error" in line for line in capsys.readouterr().err.splitlines())
+        est = load_model(model_path).terms["x1"]
+        _, slope, offset = est.net.table
+        expected = np.array([slope[-1] * x[0] + offset[-1], slope[0] * x[1] + offset[0]])
+        expected -= est.offset
+        assert np.all(np.isfinite(expected))
+        np.testing.assert_array_equal(Dataset.from_csv(out).column("x1"), expected)
 
     def test_schema_mismatch_exit_2(self, trained, tmp_path, capsys):
         model_path, _ = trained
