@@ -60,9 +60,19 @@ default argsort, 4-6 times as fast as the stable one on random rows on a
 CPU with AVX-512, and not at all when already ascending or descending
 (`_ascending_order`), as that sort is slow on descending input. A row's
 piece, and so its output, does not depend on the order of the search or
-on which rows come with it. Networks other than the spline train through
-the dense pass (`_forward_cached`, `_dense_grads`), which is also the
-tests' oracle for the kernel and the tables.
+on which rows come with it.
+
+Dense step. Every other network trains through `_Dense`, which keeps each
+layer's output for the backward pass. An output of width one stays a
+vector: the input layer is x*w + b, a hidden layer fed by it the outer
+product u[:, None]*w[:, 0], and the output layer a vector product, so
+their gradients are dot products rather than matrix products with an
+inner dimension of one. Relu is applied in place on the pre-activation;
+the backward pass reads its mask from the layer's output (h > 0 exactly
+where z > 0) and multiplies it into delta in place, and writes each
+layer's gradient into the `params`-layout vector at running offsets. The
+products and sums are those of the matrix-by-matrix dense pass, which the
+tests keep as the oracle of this step, of the kernel and of the tables.
 """
 
 from __future__ import annotations
@@ -370,17 +380,50 @@ class _Spline:
         return grad
 
 
-def _forward_cached(net: SubNetwork, x: np.ndarray):
-    """Forward pass keeping pre-activations for backprop."""
-    a = x.reshape(-1, 1)
-    activations = [a]
-    pre = []
-    for layer in net.layers:
-        z = a @ layer.weights.T + layer.biases
-        pre.append(z)
-        a = np.maximum(z, 0.0) if layer.activation == RELU else z
-        activations.append(a)
-    return activations, pre
+class _Dense:
+    """A training batch of any other network, kept layer by layer.
+
+    `h[k]` is the input of layer k, from `h[0]` = x, and `f` the network
+    output. An output of width one stays a vector, and relu is applied in
+    place on the pre-activation: h > 0 exactly where z > 0.
+    """
+
+    def __init__(self, net: SubNetwork, x: np.ndarray):
+        self.layers, self.size, self.h = net.layers, net.params.size, [x]
+        for layer in net.layers:
+            w, h = layer.weights, self.h[-1]
+            if h.ndim == 2:
+                z = h @ (w.T if w.shape[0] > 1 else w[0])
+            else:
+                z = h[:, None] * w[:, 0] if w.shape[0] > 1 else h * w[0, 0]
+            z += layer.biases
+            if layer.activation == RELU:
+                np.maximum(z, 0.0, out=z)
+            self.h.append(z)
+        self.f = self.h[-1]
+
+    def grads(self, delta: np.ndarray) -> np.ndarray:
+        """The gradient in `params` layout for output gradient delta per row."""
+        grad = np.empty(self.size)
+        end = self.size
+        for k in range(len(self.layers) - 1, -1, -1):
+            w, h = self.layers[k].weights, self.h[k]
+            start, mid = end - w.size - w.shape[0], end - w.shape[0]
+            # dW = delta^T h, db = the column sums of delta
+            if delta.ndim == h.ndim == 2:
+                np.matmul(delta.T, h, out=grad[start:mid].reshape(w.shape))
+            else:
+                grad[start:mid] = np.dot(h, delta) if delta.ndim == 2 else np.dot(delta, h)
+            grad[mid:end] = delta.sum(axis=0)
+            end = start
+            if k == 0:
+                return grad
+            if delta.ndim == 2:
+                delta = delta @ (w if h.ndim == 2 else w[:, 0])
+            else:
+                delta = delta[:, None] * w[0] if h.ndim == 2 else delta * w[0, 0]
+            if self.layers[k - 1].activation == RELU:
+                delta *= h > 0.0
 
 
 def _batch_loss_and_grads(net, x, target, weights, l2_penalty):
@@ -394,43 +437,21 @@ def _batch_loss_and_grads(net, x, target, weights, l2_penalty):
     wsum = float(weights.sum())
     if _is_spline(net):
         # the kernel holds the batch in ascending order of u
-        spline = _Spline(net, x)
-        weights, target = weights[spline.order], target[spline.order]
-        yhat, backprop = spline.f, spline.grads
+        batch = _Spline(net, x)
+        weights, target = weights[batch.order], target[batch.order]
     else:
-        activations, pre = _forward_cached(net, x)
-        yhat = activations[-1][:, 0]
-
-        def backprop(delta):
-            return _dense_grads(net, activations, pre, delta)
-
-    resid = yhat - target
+        batch = _Dense(net, x)
+    resid = batch.f - target
     wsse = float((weights * resid * resid).sum())
     if wsum > 0.0:
         delta = 2.0 * weights * resid / wsum
     else:
         delta = np.zeros(x.shape[0])
-    grad = backprop(delta)
+    grad = batch.grads(delta)
     if l2_penalty:
         for (g_w, _), layer in zip(net.layer_views(grad), net.layers):
             g_w += 2.0 * l2_penalty * layer.weights
     return wsse, wsum, grad
-
-
-def _dense_grads(net, activations, pre, delta):
-    """Backpropagate the output gradient delta through the cached dense pass."""
-    delta = delta.reshape(-1, 1)
-    grad = np.empty_like(net.params)
-    views = net.layer_views(grad)
-    for k in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[k]
-        np.matmul(delta.T, activations[k], out=views[k][0])
-        delta.sum(axis=0, out=views[k][1])
-        if k > 0:
-            delta = delta @ layer.weights
-            if net.layers[k - 1].activation == RELU:
-                delta = delta * (pre[k - 1] > 0.0)
-    return grad
 
 
 def gradients(net: SubNetwork, x, target, weights=None, l2_penalty: float = 0.0):

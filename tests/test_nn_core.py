@@ -22,7 +22,7 @@ from gannet.nn_core import (
     gradients,
     train_one_epoch,
 )
-from gannet.nn_core import _batch_loss_and_grads, _forward_cached, _is_spline, _piece_table
+from gannet.nn_core import RELU, _batch_loss_and_grads, _is_spline, _piece_table
 
 
 def single_layer_net(w: float, b: float) -> SubNetwork:
@@ -96,15 +96,61 @@ class PerLayerAdam(AdamState):
                 param -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
 
 
+def _forward_cached(net: SubNetwork, x: np.ndarray):
+    """Forward pass keeping pre-activations for backprop."""
+    a = x.reshape(-1, 1)
+    activations = [a]
+    pre = []
+    for layer in net.layers:
+        z = a @ layer.weights.T + layer.biases
+        pre.append(z)
+        a = np.maximum(z, 0.0) if layer.activation == RELU else z
+        activations.append(a)
+    return activations, pre
+
+
+def _dense_grads(net, activations, pre, delta):
+    """Backpropagate the output gradient delta through the cached dense pass."""
+    delta = delta.reshape(-1, 1)
+    grad = np.empty_like(net.params)
+    views = net.layer_views(grad)
+    for k in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[k]
+        np.matmul(delta.T, activations[k], out=views[k][0])
+        delta.sum(axis=0, out=views[k][1])
+        if k > 0:
+            delta = delta @ layer.weights
+            if net.layers[k - 1].activation == RELU:
+                delta = delta * (pre[k - 1] > 0.0)
+    return grad
+
+
 def dense_forward(net, x):
-    """The dense pass that deep-net training runs: the oracle of `forward`."""
+    """The dense pass, matrix by matrix: the oracle of `forward`."""
     return _forward_cached(net, np.asarray(x, dtype=np.float64))[0][-1][:, 0]
+
+
+def dense_loss_and_grads(net, x, target, weights, l2_penalty):
+    """`_batch_loss_and_grads` through the dense pass: the training step's oracle."""
+    wsum = float(weights.sum())
+    activations, pre = _forward_cached(net, x)
+    resid = activations[-1][:, 0] - target
+    wsse = float((weights * resid * resid).sum())
+    if wsum > 0.0:
+        delta = 2.0 * weights * resid / wsum
+    else:
+        delta = np.zeros(x.shape[0])
+    grad = _dense_grads(net, activations, pre, delta)
+    if l2_penalty:
+        for (g_w, _), layer in zip(net.layer_views(grad), net.layers):
+            g_w += 2.0 * l2_penalty * layer.weights
+    return wsse, wsum, grad
 
 
 def without_spline(fn, *args, **kwargs):
     """Call fn with the spline kernel and the knot table switched off: batch
-    gradients then come from the dense code, the kernel's oracle, and
-    `forward` from the general piece table, the knot table's oracle."""
+    gradients then come from the dense step, and `forward` from the general
+    piece table, the knot table's oracle."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nn_core, "_is_spline", lambda net: False)
         return fn(*args, **kwargs)
@@ -337,11 +383,13 @@ class TestGradients:
         numeric = finite_difference_grads(net, x, t, w)
         assert max_relative_error(analytic, numeric) < 1e-5
 
-    def test_random_small_nets(self):
-        rng = np.random.default_rng(123)
+    @staticmethod
+    def check_random_nets(seed, activation, depths):
+        """20 nets of widths 1-8 and a depth drawn from range(*depths)."""
+        rng = np.random.default_rng(seed)
         for _ in range(20):
-            widths = tuple(rng.integers(1, 9, size=rng.integers(1, 3)))
-            net = build_network(widths, "relu", rng)
+            widths = tuple(rng.integers(1, 9, size=rng.integers(*depths)))
+            net = build_network(widths, activation, rng)
             # move biases off zero so relu kinks are in play
             for layer in net.layers:
                 layer.biases[:] = rng.normal(0, 0.3, layer.biases.shape)
@@ -353,6 +401,15 @@ class TestGradients:
             numeric = finite_difference_grads(net, x, t, w)
             assert max_relative_error(analytic, numeric) < 1e-5
 
+    def test_random_small_nets(self):
+        self.check_random_nets(123, "relu", (1, 3))
+
+    def test_random_linear_nets(self):
+        self.check_random_nets(124, "linear", (1, 4))
+
+    def test_random_three_layer_nets(self):
+        self.check_random_nets(125, "relu", (3, 4))
+
     def test_l2_penalty_gradient(self):
         rng = np.random.default_rng(9)
         net = build_network((6,), "relu", rng)
@@ -362,6 +419,57 @@ class TestGradients:
         analytic = gradients(net, x, t, w, l2_penalty=0.05)
         numeric = finite_difference_grads(net, x, t, w, l2=0.05)
         assert max_relative_error(analytic, numeric) < 1e-5
+
+
+# (num_units, activation): width-one layers at each place, depth 1-3, relu and linear
+DENSE_NETS = [((1,), "relu"), ((64, 1), "relu"), ((1, 64), "relu"), ((3, 5, 2), "relu"),
+              ((8, 8, 8), "relu"), ((64, 64), "relu"), ((16, 16), "linear"),
+              ((1, 1, 1), "linear")]
+
+
+class TestDenseStep:
+    """The training step of every network but the spline against the dense pass."""
+
+    @staticmethod
+    def assert_matches_oracle(net, x, t, w, l2):
+        wsse, wsum, grad = without_spline(_batch_loss_and_grads, net, x, t, w, l2)
+        o_wsse, o_wsum, o_grad = dense_loss_and_grads(net, x, t, w, l2)
+        assert wsum == o_wsum
+        assert abs(wsse - o_wsse) <= 1e-12 * max(1.0, abs(o_wsse))
+        assert grad.shape == o_grad.shape == net.params.shape
+        assert max_relative_error(net.layer_views(grad), net.layer_views(o_grad)) <= 1e-12
+
+    @pytest.mark.parametrize("zeros", [None, "params", "sample_weights"])
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    @pytest.mark.parametrize("rows", [1, 128])
+    @pytest.mark.parametrize("num_units, activation", DENSE_NETS)
+    def test_matches_the_dense_oracle(self, num_units, activation, rows, l2, zeros):
+        rng = np.random.default_rng([rows, *num_units])
+        for _ in range(20):
+            net = build_network(num_units, activation, rng)
+            if zeros == "params":
+                net.params[:] = 0.0
+            else:
+                for layer in net.layers:
+                    layer.biases[:] = rng.normal(0, 0.3, layer.biases.shape)
+            x = rng.uniform(-2, 2, rows)
+            t = rng.normal(0, 1, rows)
+            w = np.zeros(rows) if zeros == "sample_weights" else rng.uniform(0.1, 2.0, rows)
+            self.assert_matches_oracle(net, x, t, w, l2)
+
+    @pytest.mark.parametrize("activation", ["relu", "linear"])
+    def test_nets_without_the_input_projection(self, activation):
+        rng = np.random.default_rng(7)
+        x, t, w = rng.uniform(-2, 2, 50), rng.normal(0, 1, 50), rng.uniform(0.1, 2.0, 50)
+        nets = [
+            single_layer_net(1.5, -0.25),
+            SubNetwork([DenseLayer(rng.normal(0, 1, (1, 1)), rng.normal(0, 1, 1), activation),
+                        DenseLayer(rng.normal(0, 1, (1, 1)), rng.normal(0, 1, 1), "linear")]),
+            SubNetwork([DenseLayer(rng.normal(0, 1, (6, 1)), rng.normal(0, 1, 6), activation),
+                        DenseLayer(rng.normal(0, 1, (1, 6)), rng.normal(0, 1, 1), "linear")]),
+        ]
+        for net in nets:
+            self.assert_matches_oracle(net, x, t, w, 0.05)
 
 
 class TestSplineKernel:
