@@ -493,7 +493,7 @@ class TestSplineKernel:
         net, x, w = SPLINE_CASES[case]
         t = np.cos(3.0 * x)
         wsse, wsum, grads = _batch_loss_and_grads(net, x, t, w, l2)
-        d_wsse, d_wsum, d_grads = without_spline(_batch_loss_and_grads, net, x, t, w, l2)
+        d_wsse, d_wsum, d_grads = dense_loss_and_grads(net, x, t, w, l2)
         assert wsum == d_wsum
         assert abs(wsse - d_wsse) <= 1e-12 * max(1.0, abs(d_wsse))
         assert grads.shape == d_grads.shape == net.params.shape
